@@ -9,7 +9,8 @@
 //! kernels.
 //!
 //! Nothing in this crate performs any work; it is pure data and conversion
-//! logic, exhaustively unit-tested, on which the kernel simulator
+//! logic plus the one stable content hash ([`hash`]), exhaustively
+//! unit-tested, on which the kernel simulator
 //! (`cider-kernel`), the foreign kernel corpus (`cider-xnu`) and the Cider
 //! architecture itself (`cider-core`) are built.
 //!
@@ -28,6 +29,7 @@
 
 pub mod convention;
 pub mod errno;
+pub mod hash;
 pub mod ids;
 pub mod memorystatus;
 pub mod persona;

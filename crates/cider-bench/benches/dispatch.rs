@@ -196,9 +196,9 @@ fn measure_persona(config: SystemConfig) -> PersonaCosts {
 /// the same configuration with the feature off.
 ///
 /// `mach_msg_ns` is the combined-option round trip —
-/// `MACH_SEND_MSG|MACH_RCV_MSG` in one trap, rights resolved through
-/// the typed refcounted table and the message queued lock-free — where
-/// v1 pays two crossings and a subsystem mutex on each. `ool_16k_ns`
+/// `MACH_SEND_MSG|MACH_RCV_MSG` in one trap, with no subsystem mutex
+/// crossings — where v1 pays two crossings and a subsystem mutex on
+/// each. `ool_16k_ns`
 /// round-trips a 16 KiB out-of-line descriptor, which v2 moves by
 /// remapping four pages instead of copying 16384 bytes.
 /// `ring_batch_per_msg_ns` round-trips [`RING_BATCH_MSGS`] messages as

@@ -188,9 +188,9 @@ impl TestBedBuilder {
         self
     }
 
-    /// Boots with Mach IPC v2 enabled: typed rights over lock-free
-    /// queues, OOL page remap instead of copy, and the batched
-    /// submission ring. Off by default — the pinned v1 `mach_msg`
+    /// Boots with Mach IPC v2 enabled: no subsystem mutex crossings,
+    /// OOL page remap instead of copy, and the batched submission
+    /// ring. Off by default — the pinned v1 `mach_msg`
     /// rows and all non-IPC goldens describe the mutex-and-copy path.
     #[must_use]
     pub fn ipc_v2(mut self) -> TestBedBuilder {

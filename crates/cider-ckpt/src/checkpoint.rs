@@ -23,7 +23,8 @@
 
 use std::fmt;
 
-use crate::fnv1a;
+use cider_abi::hash::fnv1a;
+
 use crate::image::StateImage;
 use crate::wire::{ByteReader, ByteWriter};
 

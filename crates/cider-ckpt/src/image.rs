@@ -12,7 +12,8 @@
 
 use std::fmt;
 
-use crate::fnv1a;
+use cider_abi::hash::fnv1a;
+
 use crate::wire::{ByteReader, ByteWriter};
 
 /// One named section of the image.

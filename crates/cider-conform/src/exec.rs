@@ -33,11 +33,11 @@ use cider_xnu::KernReturn;
 use std::fmt;
 use std::sync::Arc;
 
+use cider_abi::hash::fnv1a;
 use cider_abi::memorystatus::{AppState, LifecycleEvent};
 use cider_frameworks::bundle::Bundle;
 use cider_frameworks::lifecycle::AppLifecycle;
 
-use crate::fnv1a;
 use crate::grammar::{
     Op, Program, BUNDLE_POOL, FLAG_COMBOS, PATH_POOL, SIGNAL_POOL,
 };

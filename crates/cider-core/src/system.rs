@@ -482,8 +482,8 @@ impl CiderSystem {
         })
     }
 
-    /// Switches Mach IPC onto the v2 fast path: typed rights with
-    /// lock-free queues (no subsystem mutex on send/receive) and OOL
+    /// Switches Mach IPC onto the v2 cost policy: no subsystem mutex
+    /// crossings on send/receive, `copyin` for inline bytes, and OOL
     /// remap instead of copy. Off by default so v1 measurements stay
     /// byte-identical.
     pub fn enable_ipc_v2(&mut self) {

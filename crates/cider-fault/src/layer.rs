@@ -3,8 +3,10 @@
 
 use std::collections::BTreeMap;
 
+use cider_abi::hash::fnv1a;
+
 use crate::plan::{FaultPlan, FaultSite};
-use crate::rng::{fnv1a, SplitMix64};
+use crate::rng::SplitMix64;
 
 /// One fault that actually fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -253,8 +253,8 @@ impl FaultPlan {
         p
     }
 
-    /// A moderate all-sites plan used by the fault-matrix CI job and
-    /// the report demo: every mechanism site armed at ~8% per draw.
+    /// A moderate all-sites plan used by the fault-matrix test and the
+    /// report demo: every mechanism site armed at ~8% per draw.
     /// Device-lifecycle sites (crash, wedge, checkpoint corruption)
     /// stay unarmed — they model whole-device failures and are only
     /// meaningful under the fleet's healing harness; arm them with

@@ -51,17 +51,6 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a over a byte string; used to derive per-site seeds from the
-/// plan seed so each site gets an independent stream.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,10 +77,5 @@ mod tests {
         for _ in 0..1000 {
             assert!(r.below(1000) < 1000);
         }
-    }
-
-    #[test]
-    fn fnv_distinguishes_site_names() {
-        assert_ne!(fnv1a(b"vfs_read"), fnv1a(b"vfs_write"));
     }
 }

@@ -16,6 +16,7 @@
 //! when present, so plain fault-free runs keep their historical
 //! fingerprints.
 
+use cider_abi::hash::Fnv1a;
 use cider_abi::ids::{Pid, Tid};
 use cider_bench::apps;
 use cider_bench::config::TestBed;
@@ -97,32 +98,6 @@ pub struct DeviceResult {
     pub heal: Option<HealStats>,
     /// FNV-1a digest of the full observable trace.
     pub trace_fingerprint: u64,
-}
-
-/// FNV-1a, 64-bit: stable across platforms and rust versions, unlike
-/// `DefaultHasher`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv1a(pub u64);
-
-impl Fnv1a {
-    pub(crate) fn new() -> Fnv1a {
-        Fnv1a(0xCBF2_9CE4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    pub(crate) fn write_str(&mut self, s: &str) {
-        self.write(s.as_bytes());
-    }
-
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
 }
 
 fn fingerprint_metrics(h: &mut Fnv1a, snap: &MetricsSnapshot) {

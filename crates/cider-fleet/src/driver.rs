@@ -37,7 +37,7 @@ impl FleetRun {
     /// FNV-1a digest over the per-device fingerprints in id order:
     /// one number that must survive any host-thread count.
     pub fn fleet_fingerprint(&self) -> u64 {
-        let mut h = crate::device::Fnv1a::new();
+        let mut h = cider_abi::hash::Fnv1a::new();
         for r in &self.results {
             h.write_u64(u64::from(r.device_id));
             h.write_u64(r.trace_fingerprint);

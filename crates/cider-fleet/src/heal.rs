@@ -31,13 +31,14 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
+use cider_abi::hash::Fnv1a;
 use cider_ckpt::{
     Checkpoint, CheckpointStore, CkptError, CkptHeader, SpacingPolicy,
 };
 use cider_fault::{FaultLayer, FaultPlan, FaultSite};
 use cider_kernel::clock::WatchdogExpired;
 
-use crate::device::{DeviceOutcome, DeviceResult, DeviceSim, Fnv1a};
+use crate::device::{DeviceOutcome, DeviceResult, DeviceSim};
 use crate::spec::DeviceSpec;
 
 /// Panic payload of an injected [`FaultSite::DeviceCrash`].

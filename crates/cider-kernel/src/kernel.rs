@@ -2143,7 +2143,7 @@ impl Kernel {
                     p.program.format,
                     p.program.dylib_count,
                     handlers.join(" "),
-                    fnv1a_pair(&p.console, &[]),
+                    cider_abi::hash::fnv1a(&p.console),
                     p.console.len(),
                 ),
             ));
@@ -2203,7 +2203,7 @@ impl Kernel {
                 let digest = self
                     .vfs
                     .read_file(path)
-                    .map(|d| fnv1a_pair(&d, &[]))
+                    .map(|d| cider_abi::hash::fnv1a(&d))
                     .unwrap_or(0);
                 format!(
                     "file mode={:o} size={} digest={digest:016x}",
@@ -2229,18 +2229,6 @@ impl Kernel {
             }
         }
     }
-}
-
-/// FNV-1a over two byte slices (a `VecDeque`'s halves, or one slice and
-/// an empty tail). Kept here so every kernel-side exporter hashes
-/// content the same way.
-pub(crate) fn fnv1a_pair(a: &[u8], b: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &byte in a.iter().chain(b) {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 // ----------------------------------------------------------------------

@@ -2,20 +2,20 @@
 //!
 //! The module layout mirrors `osfmk/ipc`: [`port`] holds ports and
 //! rights, [`space`] the per-task name tables, [`message`] the message
-//! and descriptor formats, [`lockfree`] the v2 virtual-time-ordered
-//! queue, and [`subsystem`] the transfer engine.
+//! and descriptor formats, and [`subsystem`] the transfer engine. Every
+//! port queues its messages on one FIFO [`crate::queue::XnuQueue`];
+//! IPC v2 ([`MachIpc::set_v2`]) changes only what each boundary
+//! crossing charges, never the data model.
 
-pub mod lockfree;
 pub mod message;
 pub mod port;
 pub mod space;
 pub mod subsystem;
 
-pub use lockfree::LockFreeQueue;
 pub use message::{
     Message, PortDescriptor, PortDisposition, ReceivedMessage, UserMessage,
     OOL_INLINE_THRESHOLD, OOL_PAGE_BYTES,
 };
-pub use port::{KernelObject, Port, PortId, RightCount, RightType, SpaceId};
+pub use port::{KernelObject, Port, PortId, RightType, SpaceId};
 pub use space::IpcSpace;
 pub use subsystem::{IpcStats, MachIpc};

@@ -7,26 +7,23 @@
 //! locking and allocation goes through the [`ForeignKernelApi`], so the
 //! code itself never touches the domestic kernel.
 //!
-//! # IPC v2
+//! # One message path, two cost policies
 //!
-//! The subsystem has two personalities selected by [`MachIpc::set_v2`]:
+//! Every port keeps plain send/send-once counts and one FIFO
+//! [`XnuQueue`](crate::queue::XnuQueue) of messages. [`MachIpc::set_v2`]
+//! selects only what a message operation charges at the duct-tape
+//! boundary:
 //!
-//! * **v1** (default): every message operation takes the subsystem mutex
-//!   through the duct tape (two `lck_mtx` crossings per op) and copies
-//!   all payload inline. This is the original lock-coarse model and its
-//!   virtual-time charging is bit-for-bit unchanged.
-//! * **v2**: rights are atomic refcounts
-//!   ([`RightCount`](crate::ipc::port::RightCount)), message queues are
-//!   lock-free and delivered in `(stamp, seq)` order
-//!   ([`LockFreeQueue`](crate::ipc::lockfree::LockFreeQueue)), and
-//!   out-of-line regions at or above [`OOL_INLINE_THRESHOLD`] move by
-//!   page-table remap (`vm_remap_pages`) instead of byte copy, falling
-//!   back to an inline copy when the host refuses the remap.
+//! * **v1** (default): the subsystem mutex is taken through the duct
+//!   tape (two `lck_mtx` crossings per op) and all payload is inline.
+//! * **v2**: no mutex crossings; inline payload is charged through
+//!   `copyin`, and out-of-line regions at or above
+//!   [`OOL_INLINE_THRESHOLD`] move by page-table remap
+//!   (`vm_remap_pages`), falling back to an inline copy when the host
+//!   refuses the remap.
 //!
-//! The typed API ([`MachIpc::alloc_receive`], [`MachIpc::insert_send`],
-//! [`MachIpc::send`], [`MachIpc::receive`], ...) is the supported
-//! surface; the old name-based free functions remain as thin deprecated
-//! shims for out-of-tree callers.
+//! Queueing, right accounting and delivery order are identical under
+//! both policies, so the switch may be flipped mid-run.
 
 use std::collections::BTreeMap;
 
@@ -105,14 +102,14 @@ impl MachIpc {
         api.kprintf("mach_ipc: bootstrap complete");
     }
 
-    /// Switches the message path between v1 (lock-coarse, copy-always)
-    /// and v2 (lock-free queues, OOL remap). Off by default; flipping it
-    /// mid-run only affects subsequent operations.
+    /// Switches the cost policy between v1 (subsystem mutex, copy-always)
+    /// and v2 (`copyin` plus OOL remap). Off by default; flipping it
+    /// mid-run only changes what subsequent operations charge.
     pub fn set_v2(&mut self, on: bool) {
         self.v2 = on;
     }
 
-    /// Whether the v2 message path is active.
+    /// Whether the v2 cost policy is active.
     pub fn v2_enabled(&self) -> bool {
         self.v2
     }
@@ -332,7 +329,7 @@ impl MachIpc {
             return Err(KernReturn::InvalidRight);
         }
         let port = self.port_mut(entry.port)?;
-        port.srights.inc();
+        port.srights += 1;
         port.make_send_count += 1;
         Ok(SendRight::from_name(
             self.space_mut(space)?.add_send_right(entry.port),
@@ -354,7 +351,7 @@ impl MachIpc {
         if entry.right != RightType::Receive {
             return Err(KernReturn::InvalidRight);
         }
-        self.port_mut(entry.port)?.sorights.inc();
+        self.port_mut(entry.port)?.sorights += 1;
         Ok(SendOnceRight::from_name(
             self.space_mut(space)?.add_send_once_right(entry.port),
         ))
@@ -380,7 +377,7 @@ impl MachIpc {
         if self.port(entry.port)?.is_dead() {
             return Err(KernReturn::InvalidCapability);
         }
-        self.port_mut(entry.port)?.srights.inc();
+        self.port_mut(entry.port)?.srights += 1;
         Ok(SendRight::from_name(
             self.space_mut(to)?.add_send_right(entry.port),
         ))
@@ -405,7 +402,7 @@ impl MachIpc {
                 {
                     let port = self.port_mut(pid)?;
                     if !port.is_dead() {
-                        port.srights.dec();
+                        port.srights = port.srights.saturating_sub(1);
                     }
                 }
                 self.maybe_fire_no_senders(api, pid);
@@ -413,7 +410,7 @@ impl MachIpc {
             RightType::SendOnce => {
                 let port = self.port_mut(before.port)?;
                 if !port.is_dead() {
-                    port.sorights.dec();
+                    port.sorights = port.sorights.saturating_sub(1);
                 }
             }
             RightType::DeadName => {}
@@ -446,12 +443,12 @@ impl MachIpc {
 
     fn kill_port(&mut self, api: &mut dyn ForeignKernelApi, pid: PortId) {
         // Drain the queue, destroying carried rights (may cascade).
-        let msgs = {
+        let mut msgs = {
             let Ok(port) = self.port_mut(pid) else { return };
             port.receiver = None;
-            port.msgs.drain().collect::<Vec<_>>()
+            std::mem::take(&mut port.msgs)
         };
-        for m in msgs {
+        while let Some(m) = msgs.dequeue_head() {
             self.destroy_message_rights(api, m);
         }
         // Convert all rights across spaces into dead names.
@@ -462,8 +459,8 @@ impl MachIpc {
             }
         }
         if let Ok(port) = self.port_mut(pid) {
-            port.srights.set(0);
-            port.sorights.set(0);
+            port.srights = 0;
+            port.sorights = 0;
             port.ns_notify = None;
         }
         api.kprintf("mach_ipc: port died");
@@ -484,7 +481,7 @@ impl MachIpc {
                     let fire = {
                         if let Ok(p) = self.port_mut(r.port) {
                             if !p.is_dead() {
-                                p.srights.dec();
+                                p.srights = p.srights.saturating_sub(1);
                             }
                             true
                         } else {
@@ -498,7 +495,7 @@ impl MachIpc {
                 TransitKind::SendOnce => {
                     if let Ok(p) = self.port_mut(r.port) {
                         if !p.is_dead() {
-                            p.sorights.dec();
+                            p.sorights = p.sorights.saturating_sub(1);
                         }
                     }
                 }
@@ -543,9 +540,7 @@ impl MachIpc {
     ) {
         let fire = {
             let Ok(port) = self.port(pid) else { return };
-            port.srights.get() == 0
-                && !port.is_dead()
-                && port.ns_notify.is_some()
+            port.srights == 0 && !port.is_dead() && port.ns_notify.is_some()
         };
         if !fire {
             return;
@@ -585,7 +580,7 @@ impl MachIpc {
                 if entry.right != RightType::Send {
                     return Err(KernReturn::InvalidRight);
                 }
-                self.port_mut(entry.port)?.srights.inc();
+                self.port_mut(entry.port)?.srights += 1;
                 Ok(TransitRight {
                     port: entry.port,
                     kind: TransitKind::Send,
@@ -608,7 +603,7 @@ impl MachIpc {
                     return Err(KernReturn::InvalidRight);
                 }
                 let port = self.port_mut(entry.port)?;
-                port.srights.inc();
+                port.srights += 1;
                 port.make_send_count += 1;
                 Ok(TransitRight {
                     port: entry.port,
@@ -619,7 +614,7 @@ impl MachIpc {
                 if entry.right != RightType::Receive {
                     return Err(KernReturn::InvalidRight);
                 }
-                self.port_mut(entry.port)?.sorights.inc();
+                self.port_mut(entry.port)?.sorights += 1;
                 Ok(TransitRight {
                     port: entry.port,
                     kind: TransitKind::SendOnce,
@@ -652,11 +647,10 @@ impl MachIpc {
     /// `mach_msg(MACH_SEND_MSG)`: validates the destination right,
     /// processes dispositions, and queues the message.
     ///
-    /// Under v2 the subsystem mutex is skipped (the queue is lock-free
-    /// and rights are atomic), inline payload is charged through
-    /// `copyin`, and out-of-line regions at or above
-    /// [`OOL_INLINE_THRESHOLD`] move by page remap with inline-copy
-    /// fallback.
+    /// Under v2 the subsystem mutex crossings are not charged, inline
+    /// payload is charged through `copyin`, and out-of-line regions at
+    /// or above [`OOL_INLINE_THRESHOLD`] move by page remap with
+    /// inline-copy fallback.
     ///
     /// # Errors
     ///
@@ -728,20 +722,23 @@ impl MachIpc {
         match msg.remote_disposition {
             PortDisposition::MoveSend => {
                 self.space_mut(space)?.release(msg.remote_port)?;
-                self.port_mut(dest_port)?.srights.dec();
+                let port = self.port_mut(dest_port)?;
+                port.srights = port.srights.saturating_sub(1);
             }
             PortDisposition::MoveSendOnce => {
                 if dest.right != RightType::SendOnce {
                     return Err(KernReturn::InvalidRight);
                 }
                 self.space_mut(space)?.release(msg.remote_port)?;
-                self.port_mut(dest_port)?.sorights.dec();
+                let port = self.port_mut(dest_port)?;
+                port.sorights = port.sorights.saturating_sub(1);
             }
             _ => {
                 if dest.right == RightType::SendOnce {
                     // Send-once rights are always consumed.
                     self.space_mut(space)?.release(msg.remote_port)?;
-                    self.port_mut(dest_port)?.sorights.dec();
+                    let port = self.port_mut(dest_port)?;
+                    port.sorights = port.sorights.saturating_sub(1);
                 }
             }
         }
@@ -774,14 +771,7 @@ impl MachIpc {
         };
         self.stats.bytes_moved += queued.size() as u64;
         self.stats.msgs_sent += 1;
-        if v2 {
-            // Lock-free enqueue: the producer's claim is stamped with its
-            // virtual-time instant; delivery follows (stamp, seq) order.
-            let stamp = api.mach_absolute_time();
-            self.port_mut(dest_port)?.msgs.enqueue(stamp, queued);
-        } else {
-            self.port_mut(dest_port)?.msgs.enqueue_tail(queued);
-        }
+        self.port_mut(dest_port)?.msgs.enqueue_tail(queued);
         api.thread_wakeup(Event(0x1000_0000 + dest_port.0));
         // A moved send right may have been the last one.
         if msg.remote_disposition == PortDisposition::MoveSend {
@@ -792,8 +782,9 @@ impl MachIpc {
 
     /// `mach_msg(MACH_RCV_MSG)` with zero timeout: dequeues the next
     /// message on the receive right, materialising carried rights as
-    /// names in the receiving space. Under v2 the subsystem mutex is
-    /// skipped and the body copy-out is charged through `copyin`.
+    /// names in the receiving space. Under v2 the subsystem mutex
+    /// crossings are not charged and the body copy-out is charged
+    /// through `copyin`.
     ///
     /// # Errors
     ///
@@ -884,66 +875,6 @@ impl MachIpc {
     }
 
     // ------------------------------------------------------------------
-    // Deprecated name-based shims (pre-v2 API).
-    // ------------------------------------------------------------------
-
-    /// Old name-based allocation.
-    #[deprecated(note = "use the typed `MachIpc::alloc_receive`")]
-    pub fn port_allocate(
-        &mut self,
-        api: &mut dyn ForeignKernelApi,
-        space: SpaceId,
-    ) -> KernResult<PortName> {
-        self.alloc_receive(api, space).map(|r| r.name())
-    }
-
-    /// Old name-based send-right minting.
-    #[deprecated(note = "use the typed `MachIpc::insert_send`")]
-    pub fn make_send(
-        &mut self,
-        space: SpaceId,
-        recv_name: PortName,
-    ) -> KernResult<PortName> {
-        let recv = self.receive_right(space, recv_name)?;
-        self.insert_send(space, recv).map(|s| s.name())
-    }
-
-    /// Old name-based cross-space copy.
-    #[deprecated(note = "use the typed `MachIpc::copy_send`")]
-    pub fn copy_send_to_space(
-        &mut self,
-        from: SpaceId,
-        name: PortName,
-        to: SpaceId,
-    ) -> KernResult<PortName> {
-        let send = self.send_right(from, name)?;
-        self.copy_send(from, send, to).map(|s| s.name())
-    }
-
-    /// Old spelling of [`MachIpc::send`].
-    #[deprecated(note = "use `MachIpc::send`")]
-    pub fn msg_send(
-        &mut self,
-        api: &mut dyn ForeignKernelApi,
-        space: SpaceId,
-        msg: UserMessage,
-    ) -> KernResult<()> {
-        self.send(api, space, msg)
-    }
-
-    /// Old name-based receive.
-    #[deprecated(note = "use the typed `MachIpc::receive`")]
-    pub fn msg_receive(
-        &mut self,
-        api: &mut dyn ForeignKernelApi,
-        space: SpaceId,
-        recv_name: PortName,
-    ) -> KernResult<ReceivedMessage> {
-        // The typed path re-validates, so errors keep the RCV convention.
-        self.receive(api, space, ReceiveRight::from_name(recv_name))
-    }
-
-    // ------------------------------------------------------------------
     // Observability.
     // ------------------------------------------------------------------
 
@@ -1014,14 +945,12 @@ impl MachIpc {
                 }
             }
             assert_eq!(
-                port.srights.get(),
-                send,
+                port.srights, send,
                 "send-right count mismatch on {:?}",
                 port.id
             );
             assert_eq!(
-                port.sorights.get(),
-                sonce,
+                port.sorights, sonce,
                 "send-once count mismatch on {:?}",
                 port.id
             );
@@ -1356,17 +1285,40 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
+    fn delivery_stays_fifo_across_senders_and_a_mid_run_v2_flip() {
         let (mut ipc, mut api) = setup();
-        let s = ipc.create_space();
-        let recv = ipc.port_allocate(&mut api, s).unwrap();
-        let send = ipc.make_send(s, recv).unwrap();
-        ipc.msg_send(&mut api, s, UserMessage::simple(send, 3, &b"old"[..]))
+        let srv = ipc.create_space();
+        let a = ipc.create_space();
+        let b = ipc.create_space();
+        let recv = ipc.alloc_receive(&mut api, srv).unwrap();
+        ipc.set_qlimit(srv, recv.name(), crate::ipc::port::QLIMIT_MAX)
             .unwrap();
-        let got = ipc.msg_receive(&mut api, s, recv).unwrap();
-        assert_eq!(got.msg_id, 3);
-        assert_eq!(&got.body[..], b"old");
-        ipc.check_invariants();
+        let send = ipc.insert_send(srv, recv).unwrap();
+        let to_a = ipc.copy_send(srv, send, a).unwrap();
+        let to_b = ipc.copy_send(srv, send, b).unwrap();
+        let mut sent = Vec::new();
+        for id in 0..8 {
+            if id == 4 {
+                ipc.set_v2(true);
+            }
+            // Alternate senders; odd ids also carry a reply right so
+            // rights in transit are covered by the invariant check.
+            let (space, dest) =
+                if id % 2 == 0 { (a, to_a) } else { (b, to_b) };
+            let mut msg = UserMessage::simple(dest.name(), id, &b"m"[..]);
+            if id % 2 == 1 {
+                msg.local_port =
+                    ipc.alloc_receive(&mut api, b).unwrap().name();
+            }
+            ipc.send(&mut api, space, msg).unwrap();
+            sent.push(id);
+            ipc.check_invariants();
+        }
+        let mut got = Vec::new();
+        while let Ok(m) = ipc.receive(&mut api, srv, recv) {
+            got.push(m.msg_id);
+            ipc.check_invariants();
+        }
+        assert_eq!(got, sent);
     }
 }

@@ -17,6 +17,13 @@
 //! against [`api::MockForeignKernel`], proving the code is genuinely
 //! host-independent.
 //!
+//! **One IPC data model.** Every Mach port keeps plain send/send-once
+//! counts and one FIFO [`queue::XnuQueue`] of messages, reached only
+//! through the typed rights API below. IPC v2
+//! ([`ipc::MachIpc::set_v2`]) is a cost policy, not a second path: it
+//! swaps the subsystem-mutex crossings for `copyin` and out-of-line
+//! page remap charges.
+//!
 //! # Example
 //!
 //! ```

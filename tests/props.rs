@@ -202,74 +202,9 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// IPC v2: the lock-free queue is pinned to a reference VecDeque model,
-// and OOL payloads survive both the page-remap path and the copy
+// IPC v2: OOL payloads survive both the page-remap path and the copy
 // fallback bit for bit.
 // ----------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum QueueOp {
-    Enqueue { stamp: u64 },
-    EnqueueTail,
-    Dequeue,
-}
-
-fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
-    prop_oneof![
-        (0u64..64).prop_map(|stamp| QueueOp::Enqueue { stamp }),
-        Just(QueueOp::EnqueueTail),
-        Just(QueueOp::Dequeue),
-    ]
-}
-
-proptest! {
-    /// Reference model: stable insertion sorted by stamp (each new claim
-    /// takes the largest sequence number, so it lands after every entry
-    /// with an equal-or-smaller stamp), FIFO pop — exactly the
-    /// `(stamp, seq)` delivery rule the lock-free queue guarantees.
-    #[test]
-    fn lockfree_queue_matches_vecdeque_model(
-        ops in prop::collection::vec(queue_op_strategy(), 1..80)
-    ) {
-        use cider_xnu::ipc::LockFreeQueue;
-        use std::collections::VecDeque;
-
-        let mut q: LockFreeQueue<u32> = LockFreeQueue::new();
-        let mut model: VecDeque<(u64, u32)> = VecDeque::new();
-        let mut next_item = 0u32;
-        for op in ops {
-            match op {
-                QueueOp::Enqueue { stamp } => {
-                    q.enqueue(stamp, next_item);
-                    let at = model
-                        .iter()
-                        .rposition(|&(s, _)| s <= stamp)
-                        .map(|i| i + 1)
-                        .unwrap_or(0);
-                    model.insert(at, (stamp, next_item));
-                    next_item += 1;
-                }
-                QueueOp::EnqueueTail => {
-                    q.enqueue_tail(next_item);
-                    let stamp = model.back().map(|&(s, _)| s).unwrap_or(0);
-                    model.push_back((stamp, next_item));
-                    next_item += 1;
-                }
-                QueueOp::Dequeue => {
-                    prop_assert_eq!(
-                        q.dequeue_head(),
-                        model.pop_front().map(|(_, v)| v)
-                    );
-                }
-            }
-            prop_assert_eq!(q.len(), model.len());
-            prop_assert_eq!(q.is_empty(), model.is_empty());
-            let got: Vec<u32> = q.iter().copied().collect();
-            let want: Vec<u32> = model.iter().map(|&(_, v)| v).collect();
-            prop_assert_eq!(got, want);
-        }
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -987,7 +922,7 @@ proptest! {
 }
 
 /// The acceptance seeds, pinned: warm ≡ cold on exactly the seeds the
-/// CI fault-matrix and determinism jobs run.
+/// fault-matrix and determinism tests run.
 #[test]
 fn warm_equals_cold_on_ci_seeds() {
     for seed in [11u64, 23, 47] {

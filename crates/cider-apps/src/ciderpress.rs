@@ -6,7 +6,7 @@
 use cider_abi::errno::Errno;
 use cider_abi::ids::{Pid, Tid};
 use cider_core::system::CiderSystem;
-use cider_gfx::stack::SharedGfx;
+use cider_gfx::stack::with_gfx;
 use cider_gfx::surfaceflinger::SurfaceId;
 use cider_input::eventpump::InputBridge;
 use cider_input::events::AndroidEvent;
@@ -51,7 +51,6 @@ impl CiderPress {
     /// establishment errors.
     pub fn launch(
         sys: &mut CiderSystem,
-        gfx: &SharedGfx,
         binary_path: &str,
     ) -> Result<CiderPress, Errno> {
         let own = sys.spawn_process();
@@ -63,13 +62,9 @@ impl CiderPress {
 
         let bridge = InputBridge::establish(sys, own, app)?;
 
-        let surface = {
-            let mut g = gfx.lock().unwrap();
-            let cider_gfx::stack::GfxStack {
-                flinger, gralloc, ..
-            } = &mut *g;
-            flinger.create_surface(gralloc, 1280, 800)?
-        };
+        let surface = with_gfx(&mut sys.kernel, |_, g| {
+            g.flinger.create_surface(&mut g.gralloc, 1280, 800)
+        })?;
 
         Ok(CiderPress {
             own,
@@ -105,16 +100,10 @@ impl CiderPress {
     /// # Errors
     ///
     /// Surface errors.
-    pub fn pause(
-        &mut self,
-        sys: &mut CiderSystem,
-        gfx: &SharedGfx,
-    ) -> Result<(), Errno> {
-        let _ = sys;
-        gfx.lock()
-            .unwrap()
-            .flinger
-            .set_visible(self.surface, false)?;
+    pub fn pause(&mut self, sys: &mut CiderSystem) -> Result<(), Errno> {
+        with_gfx(&mut sys.kernel, |_, g| {
+            g.flinger.set_visible(self.surface, false)
+        })?;
         self.state = AppState::Paused;
         self.lifecycle_log.push(AppState::Paused);
         Ok(())
@@ -125,16 +114,10 @@ impl CiderPress {
     /// # Errors
     ///
     /// Surface errors.
-    pub fn resume(
-        &mut self,
-        sys: &mut CiderSystem,
-        gfx: &SharedGfx,
-    ) -> Result<(), Errno> {
-        let _ = sys;
-        gfx.lock()
-            .unwrap()
-            .flinger
-            .set_visible(self.surface, true)?;
+    pub fn resume(&mut self, sys: &mut CiderSystem) -> Result<(), Errno> {
+        with_gfx(&mut sys.kernel, |_, g| {
+            g.flinger.set_visible(self.surface, true)
+        })?;
         self.state = AppState::Foreground;
         self.lifecycle_log.push(AppState::Foreground);
         Ok(())
@@ -146,23 +129,15 @@ impl CiderPress {
     /// # Errors
     ///
     /// Kernel errors.
-    pub fn stop(
-        &mut self,
-        sys: &mut CiderSystem,
-        gfx: &SharedGfx,
-    ) -> Result<i32, Errno> {
+    pub fn stop(&mut self, sys: &mut CiderSystem) -> Result<i32, Errno> {
         sys.kernel.sys_exit(self.app.1, 0)?;
         let code = sys.kernel.sys_waitpid(self.own.1, self.app.0);
         // The app is not CiderPress's child; reap failures are fine —
         // init would reap it. What matters is the zombie state.
         let _ = code;
-        {
-            let mut g = gfx.lock().unwrap();
-            let cider_gfx::stack::GfxStack {
-                flinger, gralloc, ..
-            } = &mut *g;
-            flinger.destroy_surface(gralloc, self.surface)?;
-        }
+        with_gfx(&mut sys.kernel, |_, g| {
+            g.flinger.destroy_surface(&mut g.gralloc, self.surface)
+        })?;
         self.state = AppState::Stopped;
         self.lifecycle_log.push(AppState::Stopped);
         Ok(0)
@@ -173,24 +148,29 @@ impl CiderPress {
 mod tests {
     use super::*;
     use crate::package::{build_ios_app, decrypt_ipa, DeviceKey};
-    use cider_gfx::stack::{install_gfx, GfxConfig};
+    use cider_gfx::stack::{install_gfx, GfxConfig, GfxStack};
     use cider_input::gestures::synth_tap;
     use cider_kernel::profile::DeviceProfile;
 
-    fn setup() -> (CiderSystem, SharedGfx, String) {
+    fn setup() -> (CiderSystem, String) {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+        install_gfx(&mut sys, GfxConfig::default());
         let ipa = build_ios_app("com.example.app", "App", "app_main", true);
         let dec =
             decrypt_ipa(&ipa, DeviceKey::from_jailbroken_device()).unwrap();
         let path = crate::launcher::install_ipa(&mut sys, &dec).unwrap();
-        (sys, gfx, path)
+        (sys, path)
+    }
+
+    fn surface_count(sys: &CiderSystem) -> usize {
+        let gfx = sys.kernel.extensions.get::<GfxStack>().unwrap();
+        gfx.flinger.surface_count()
     }
 
     #[test]
     fn launch_runs_foreign_binary_with_proxied_surface() {
-        let (mut sys, gfx, path) = setup();
-        let cp = CiderPress::launch(&mut sys, &gfx, &path).unwrap();
+        let (mut sys, path) = setup();
+        let cp = CiderPress::launch(&mut sys, &path).unwrap();
         assert_eq!(
             cider_core::persona::persona_of(&sys.kernel, cp.app.1).unwrap(),
             cider_abi::Persona::Foreign
@@ -199,42 +179,42 @@ mod tests {
             cider_core::persona::persona_of(&sys.kernel, cp.own.1).unwrap(),
             cider_abi::Persona::Domestic
         );
-        assert_eq!(gfx.lock().unwrap().flinger.surface_count(), 1);
+        assert_eq!(surface_count(&sys), 1);
     }
 
     #[test]
     fn encrypted_binary_refuses_to_launch() {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+        install_gfx(&mut sys, GfxConfig::default());
         let enc = build_ios_app("com.x", "X", "m", true);
         let path = crate::launcher::install_ipa(&mut sys, &enc).unwrap();
         assert_eq!(
-            CiderPress::launch(&mut sys, &gfx, &path).unwrap_err(),
+            CiderPress::launch(&mut sys, &path).unwrap_err(),
             Errno::EACCES
         );
     }
 
     #[test]
     fn input_flows_only_while_foreground() {
-        let (mut sys, gfx, path) = setup();
-        let mut cp = CiderPress::launch(&mut sys, &gfx, &path).unwrap();
+        let (mut sys, path) = setup();
+        let mut cp = CiderPress::launch(&mut sys, &path).unwrap();
         for e in synth_tap(100, 100, 0) {
             cp.deliver_input(&mut sys, &e).unwrap();
         }
         assert_eq!(cp.bridge.events_forwarded, 2);
-        cp.pause(&mut sys, &gfx).unwrap();
+        cp.pause(&mut sys).unwrap();
         let e = &synth_tap(1, 1, 0)[0];
         assert_eq!(cp.deliver_input(&mut sys, e), Err(Errno::EINVAL));
-        cp.resume(&mut sys, &gfx).unwrap();
+        cp.resume(&mut sys).unwrap();
         cp.deliver_input(&mut sys, e).unwrap();
     }
 
     #[test]
     fn stop_exits_the_app_and_runs_exit_handlers() {
-        let (mut sys, gfx, path) = setup();
-        let mut cp = CiderPress::launch(&mut sys, &gfx, &path).unwrap();
+        let (mut sys, path) = setup();
+        let mut cp = CiderPress::launch(&mut sys, &path).unwrap();
         let before = sys.kernel.counters.atexit_callbacks;
-        cp.stop(&mut sys, &gfx).unwrap();
+        cp.stop(&mut sys).unwrap();
         // 115 dyld-registered exit handlers ran.
         assert_eq!(sys.kernel.counters.atexit_callbacks - before, 115);
         assert_eq!(cp.state, AppState::Stopped);
@@ -242,6 +222,6 @@ mod tests {
             cp.lifecycle_log,
             vec![AppState::Foreground, AppState::Stopped]
         );
-        assert_eq!(gfx.lock().unwrap().flinger.surface_count(), 0);
+        assert_eq!(surface_count(&sys), 0);
     }
 }

@@ -4,7 +4,7 @@
 use cider_abi::errno::Errno;
 use cider_abi::ids::{Pid, Tid};
 use cider_core::system::{CiderSystem, SystemKind};
-use cider_gfx::stack::{install_gfx, GfxConfig, SharedGfx};
+use cider_gfx::stack::{install_gfx, GfxConfig, GfxStack};
 use cider_kernel::profile::{DeviceProfile, Toolchain};
 use cider_loader::framework_set::FrameworkSet;
 use cider_loader::{ElfBuilder, MachOBuilder};
@@ -92,8 +92,6 @@ impl SystemConfig {
 pub struct TestBed {
     /// The system under test.
     pub sys: CiderSystem,
-    /// Its graphics stack.
-    pub gfx: SharedGfx,
     /// The configuration this bed realises.
     pub config: SystemConfig,
 }
@@ -243,6 +241,15 @@ impl TestBed {
     pub fn trace_snapshot(&self) -> Option<cider_trace::TraceSnapshot> {
         self.sys.kernel.trace.snapshot()
     }
+
+    /// The bed's graphics stack, kept in the kernel's extensions.
+    pub fn gfx(&self) -> &GfxStack {
+        self.sys
+            .kernel
+            .extensions
+            .get::<GfxStack>()
+            .expect("every bed installs the graphics stack")
+    }
 }
 
 /// The shared boot path behind [`TestBedBuilder::build`].
@@ -250,7 +257,7 @@ impl TestBed {
 fn boot_bed(config: SystemConfig) -> TestBed {
     let mut sys = CiderSystem::new_kind(config.profile(), config.kind());
     let fence_bug = config.kind() == SystemKind::Cider;
-    let (gfx, _) = install_gfx(&mut sys, GfxConfig { fence_bug });
+    install_gfx(&mut sys, GfxConfig { fence_bug });
 
     // Program behaviours shared by every bed.
     sys.kernel.register_program(
@@ -343,7 +350,7 @@ fn boot_bed(config: SystemConfig) -> TestBed {
             .expect("fresh fs");
     }
 
-    TestBed { sys, gfx, config }
+    TestBed { sys, config }
 }
 
 impl TestBed {

@@ -74,10 +74,8 @@ pub fn run_test_with(
 ) -> Option<f64> {
     let (form, gl_path) = passmark_setup(bed.config);
     let pm = Passmark { form, sizes };
-    let gfx = bed.gfx.clone();
     let mut env = PassmarkEnv {
         sys: &mut bed.sys,
-        gfx: &gfx,
         tid,
         gl_path,
     };

@@ -536,8 +536,8 @@ impl Default for CiderState {
     }
 }
 
-/// Runs `f` with the Cider state taken out of the kernel's extension
-/// slot, so both can be borrowed mutably, and puts it back afterwards.
+/// [`Kernel::with_ext`] for the Cider state: runs `f` with both it and
+/// the kernel borrowed mutably.
 ///
 /// # Panics
 ///
@@ -547,13 +547,7 @@ pub fn with_state<R>(
     k: &mut Kernel,
     f: impl FnOnce(&mut Kernel, &mut CiderState) -> R,
 ) -> R {
-    let mut st = k
-        .extensions
-        .take::<CiderState>()
-        .expect("CiderState installed on this kernel");
-    let r = f(k, &mut st);
-    k.extensions.insert(st);
-    r
+    k.with_ext(f).expect("CiderState installed on this kernel")
 }
 
 #[cfg(test)]

@@ -341,7 +341,7 @@ impl DeviceSim {
     }
 
     fn gfx_records(&self) -> Vec<(String, String)> {
-        let gfx = self.bed.gfx.lock().unwrap();
+        let gfx = self.bed.gfx();
         vec![
             ("gpu_busy_ns".to_string(), gfx.gpu.gpu_busy_ns.to_string()),
             ("retired".to_string(), gfx.gpu.retired.to_string()),

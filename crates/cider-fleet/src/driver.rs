@@ -4,17 +4,17 @@
 //! `spec.host_threads` scoped worker threads with a work-stealing
 //! index (an atomic next-device counter — idle workers steal whatever
 //! device is next, so an expensive device never serialises the fleet
-//! behind it), and collects the results **in device-id order** once
-//! the pool drains. Completion order never leaks into the output,
-//! which is what makes the aggregated report byte-identical across
-//! thread counts.
+//! behind it). Each worker owns the devices it runs and returns their
+//! results; the driver merges those lists **in device-id order** once
+//! the pool drains. The counter is the only state the workers share,
+//! and completion order never leaks into the output, which is what
+//! makes the aggregated report byte-identical across thread counts.
 //!
 //! Host wall-clock time is observability, not data: it goes only to
 //! the optional [`TraceSink`] ([`run_fleet_with_sink`]), never into
 //! [`FleetRun`] or the JSON report.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use cider_trace::{EventKind, TraceContext, TraceSink};
@@ -48,68 +48,74 @@ impl FleetRun {
 
 /// Runs the fleet described by `spec` with no host-side tracing.
 pub fn run_fleet(spec: &FleetSpec) -> FleetRun {
-    run_fleet_with_sink(spec, &TraceSink::disabled())
+    run_fleet_with_sink(spec, &mut TraceSink::disabled())
 }
 
 /// Runs the fleet, reporting host-side progress to `sink`:
 /// a `fleet/devices_completed` counter, a `fleet/device_wall_ns`
 /// histogram of per-device host wall-clock, and one `Mark` event per
-/// finished device (visible through the Chrome-trace exporter).
+/// finished device (visible through the Chrome-trace exporter),
+/// recorded after the pool drains, in device-id order.
 ///
 /// The sink sees *host* observability only — nothing recorded here
 /// feeds back into any device or into the aggregated report.
-pub fn run_fleet_with_sink(spec: &FleetSpec, sink: &TraceSink) -> FleetRun {
+pub fn run_fleet_with_sink(
+    spec: &FleetSpec,
+    sink: &mut TraceSink,
+) -> FleetRun {
     let specs = spec.device_specs();
     let threads = spec.host_threads.max(1).min(specs.len().max(1));
-
-    // One pre-sized slot per device: workers write their own slots,
-    // so collection below reads device-id order directly and the
-    // completion order is discarded.
-    let slots: Vec<Mutex<Option<DeviceResult>>> =
-        specs.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(device) = specs.get(idx) else {
-                    break;
-                };
-                let started = Instant::now();
-                let result = match &spec.heal {
-                    Some(config) => run_device_healed(device, config),
-                    None => run_device_with(device, spec.watchdog_budget_ns),
-                };
-                let wall_ns = started.elapsed().as_nanos() as u64;
-                sink.incr("fleet/devices_completed");
-                sink.observe("fleet/device_wall_ns", wall_ns);
-                sink.record(
-                    TraceContext {
-                        ts_ns: result.virtual_ns,
-                        pid: 0,
-                        tid: device.device_id,
-                        foreign: result.config.runs_ios_binary(),
-                    },
-                    EventKind::Mark {
-                        label: format!(
-                            "fleet/device_{}_done",
-                            device.device_id
-                        )
-                        .into(),
-                    },
-                );
-                *slots[idx].lock().unwrap() = Some(result);
-            });
+    // Each worker claims devices off the shared counter and returns
+    // what it ran; sorting the merged list by index restores device-id
+    // order and discards completion order.
+    let worker = || {
+        let mut ran = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(device) = specs.get(idx) else {
+                break ran;
+            };
+            let started = Instant::now();
+            let result = match &spec.heal {
+                Some(config) => run_device_healed(device, config),
+                None => run_device_with(device, spec.watchdog_budget_ns),
+            };
+            ran.push((idx, result, started.elapsed().as_nanos() as u64));
         }
-    });
+    };
+    let mut done: Vec<(usize, DeviceResult, u64)> =
+        std::thread::scope(|scope| {
+            let workers: Vec<_> =
+                (0..threads).map(|_| scope.spawn(worker)).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| {
+                    w.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
+                })
+                .collect()
+        });
+    done.sort_unstable_by_key(|&(idx, ..)| idx);
 
-    let results = slots
+    let results = done
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every device index was claimed and run")
+        .map(|(idx, result, wall_ns)| {
+            let device_id = specs[idx].device_id;
+            sink.incr("fleet/devices_completed");
+            sink.observe("fleet/device_wall_ns", wall_ns);
+            sink.record(
+                TraceContext {
+                    ts_ns: result.virtual_ns,
+                    pid: 0,
+                    tid: device_id,
+                    foreign: result.config.runs_ios_binary(),
+                },
+                EventKind::Mark {
+                    label: format!("fleet/device_{device_id}_done").into(),
+                },
+            );
+            result
         })
         .collect();
 
@@ -176,12 +182,12 @@ mod tests {
 
     #[test]
     fn sink_sees_fleet_progress() {
-        let sink = TraceSink::enabled_default();
-        let spec = FleetSpec::new(3, 5, Workload::LaunchStorm { launches: 2 })
+        let mut sink = TraceSink::enabled_default();
+        let spec = FleetSpec::new(5, 5, Workload::LaunchStorm { launches: 2 })
             .host_threads(2);
-        let run = run_fleet_with_sink(&spec, &sink);
-        assert_eq!(run.results.len(), 3);
-        assert_eq!(sink.counter("fleet/devices_completed"), 3);
+        let run = run_fleet_with_sink(&spec, &mut sink);
+        assert_eq!(run.results.len(), 5);
+        assert_eq!(sink.counter("fleet/devices_completed"), 5);
         let snap = sink.snapshot().unwrap();
         assert_eq!(
             snap.metrics
@@ -189,7 +195,19 @@ mod tests {
                 .iter()
                 .map(|(name, h)| (name.to_string(), h.count()))
                 .collect::<Vec<_>>(),
-            vec![("fleet/device_wall_ns".to_string(), 3)]
+            vec![("fleet/device_wall_ns".to_string(), 5)]
         );
+        // Marks follow device-id order, whatever order workers finished.
+        let marks: Vec<String> = snap
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Mark { label } => Some(label.to_string()),
+                _ => None,
+            })
+            .collect();
+        let want: Vec<String> =
+            (0..5).map(|id| format!("fleet/device_{id}_done")).collect();
+        assert_eq!(marks, want);
     }
 }

@@ -8,9 +8,6 @@
 //! (paper §5.1). iOS user space then queries the framebuffer "as a
 //! standard iOS device" through the I/O Kit registry and a user client.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use cider_core::state::with_state;
 use cider_core::system::CiderSystem;
 use cider_ducttape::zone::Zone;
@@ -34,17 +31,17 @@ pub mod selectors {
 pub struct AppleM2Clcd {
     width: u64,
     height: u64,
-    frames: Arc<AtomicU64>,
+    frames: u64,
     started: bool,
 }
 
 impl AppleM2Clcd {
     /// Creates the wrapper for the Nexus 7 panel.
-    pub fn new(frames: Arc<AtomicU64>) -> AppleM2Clcd {
+    pub fn nexus7() -> AppleM2Clcd {
         AppleM2Clcd {
             width: 1280,
             height: 800,
-            frames,
+            frames: 0,
             started: false,
         }
     }
@@ -71,8 +68,8 @@ impl IoDriver for AppleM2Clcd {
                 Ok((vec![self.width, self.height], Vec::new()))
             }
             selectors::SWAP_SUBMIT => {
-                let n = self.frames.fetch_add(1, Ordering::Relaxed) + 1;
-                Ok((vec![n], Vec::new()))
+                self.frames += 1;
+                Ok((vec![self.frames], Vec::new()))
             }
             selectors::GET_VENDOR => {
                 Ok((Vec::new(), b"tegra-dc (AppleM2CLCD wrapper)".to_vec()))
@@ -84,10 +81,8 @@ impl IoDriver for AppleM2Clcd {
 
 /// Registers the driver class with the in-kernel C++ runtime and I/O
 /// Kit matching — the "small interface function called on Linux kernel
-/// boot". Returns the shared frame counter.
-pub fn register_display_driver(sys: &mut CiderSystem) -> Arc<AtomicU64> {
-    let frames = Arc::new(AtomicU64::new(0));
-    let frames_for_factory = frames.clone();
+/// boot".
+pub fn register_display_driver(sys: &mut CiderSystem) {
     with_state(&mut sys.kernel, |_, st| {
         let cider_core::state::CiderState {
             ducttape,
@@ -107,9 +102,7 @@ pub fn register_display_driver(sys: &mut CiderSystem) -> Arc<AtomicU64> {
             &mut ducttape.symbols,
             "AppleM2CLCD",
             Zone::Domestic,
-            Box::new(move || {
-                Box::new(AppleM2Clcd::new(frames_for_factory.clone()))
-            }),
+            Box::new(|| Box::new(AppleM2Clcd::nexus7())),
         );
         iokit.register_personality(MatchRule {
             driver_class: "AppleM2CLCD".into(),
@@ -118,7 +111,6 @@ pub fn register_display_driver(sys: &mut CiderSystem) -> Arc<AtomicU64> {
             probe_score: 1000,
         });
     });
-    frames
 }
 
 #[cfg(test)]
@@ -129,7 +121,7 @@ mod tests {
     #[test]
     fn driver_matches_display_nub_and_serves_methods() {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let frames = register_display_driver(&mut sys);
+        register_display_driver(&mut sys);
         with_state(&mut sys.kernel, |_, st| {
             // The nub published by the device_add bridge got matched.
             let nub = st.iokit.find_service("IODisplayNub").unwrap();
@@ -139,9 +131,11 @@ mod tests {
                 .connect_call_method(conn, selectors::GET_SIZE, &[], &[])
                 .unwrap();
             assert_eq!(out, vec![1280, 800]);
-            st.iokit
+            let (frames, _) = st
+                .iokit
                 .connect_call_method(conn, selectors::SWAP_SUBMIT, &[], &[])
                 .unwrap();
+            assert_eq!(frames, vec![1]);
             let (_, vendor) = st
                 .iokit
                 .connect_call_method(conn, selectors::GET_VENDOR, &[], &[])
@@ -154,7 +148,6 @@ mod tests {
                 KernReturn::MigBadId
             );
         });
-        assert_eq!(frames.load(Ordering::Relaxed), 1);
     }
 
     #[test]

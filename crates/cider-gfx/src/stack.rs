@@ -1,7 +1,9 @@
 //! The assembled graphics stack and its library surface.
 //!
-//! [`GfxStack`] owns the GPU, gralloc, SurfaceFlinger, and EGL state.
-//! [`install_gfx`] wires it into a [`CiderSystem`]: the domestic
+//! [`GfxStack`] owns the GPU, gralloc, SurfaceFlinger, and EGL state of
+//! one device. [`install_gfx`] stores it in the kernel's extensions,
+//! where every export reaches it through `Kernel::with_ext` (no shared
+//! handle, no lock), and wires it into a [`CiderSystem`]: the domestic
 //! libraries (`libGLESv2.so`, `libEGL.so`, `libgralloc.so`, and the
 //! custom `libEGLbridge.so` of paper §5.3) are registered as runtime
 //! export tables, the Cider **diplomatic OpenGL ES library** is generated
@@ -9,14 +11,15 @@
 //! **diplomatic IOSurface** entry points are interposed onto gralloc, and
 //! the `AppleM2CLCD` framebuffer driver class is registered with I/O Kit.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cider_abi::errno::Errno;
 use cider_core::diplomat::{Diplomat, DiplomaticLibrary};
 use cider_core::library::NativeLibrary;
 use cider_core::system::CiderSystem;
+use cider_kernel::kernel::Kernel;
 
-use crate::gles::{api, Egl};
+use crate::gles::{api, ContextId, Egl};
 use crate::gpu::SimGpu;
 use crate::gralloc::{BufferId, Gralloc, PixelFormat};
 use crate::surfaceflinger::SurfaceFlinger;
@@ -40,13 +43,6 @@ impl GfxStack {
         GfxStack::default()
     }
 }
-
-/// Shared handle to the stack, captured by library export closures.
-///
-/// A `Mutex` (not a `RefCell`) so the export closures are `Send + Sync`
-/// and a bed holding the stack can run on a fleet worker thread; within
-/// one device the lock is uncontended.
-pub type SharedGfx = Arc<Mutex<GfxStack>>;
 
 /// Configuration for [`install_gfx`].
 #[derive(Debug, Clone, Copy)]
@@ -115,182 +111,98 @@ pub const EAGL_SYMBOLS: [&str; 4] = [
     "EAGLContext_presentRenderbuffer",
 ];
 
-fn stateful_noop(gfx: &SharedGfx) -> cider_core::library::NativeFn {
-    let gfx = gfx.clone();
-    Arc::new(move |k, _tid, _args| {
-        k.charge_cpu(crate::gles::GL_DISPATCH_NS);
-        let mut g = gfx.lock().unwrap();
-        g.egl.current_mut()?.total_calls += 1;
-        Ok(0)
-    })
+/// Argument `i` of a library call (`0` when absent).
+fn arg(args: &[i64], i: usize) -> i64 {
+    args.get(i).copied().unwrap_or(0)
 }
 
-/// Builds the domestic `libGLESv2.so` export table over a shared stack.
-pub fn build_libglesv2(gfx: &SharedGfx) -> NativeLibrary {
+/// Runs `f` with the device's [`GfxStack`] taken out of the kernel's
+/// extensions (see `Kernel::with_ext`).
+///
+/// # Errors
+///
+/// `ENODEV` when no stack is installed; otherwise whatever `f` returns.
+pub fn with_gfx<R>(
+    k: &mut Kernel,
+    f: impl FnOnce(&mut Kernel, &mut GfxStack) -> Result<R, Errno>,
+) -> Result<R, Errno> {
+    k.with_ext(f).unwrap_or(Err(Errno::ENODEV))
+}
+
+/// Exports `sym` as a [`with_gfx`] call into the device's stack.
+fn export_gfx(
+    lib: &mut NativeLibrary,
+    sym: &str,
+    f: fn(&mut Kernel, &mut GfxStack, &[i64]) -> Result<i64, Errno>,
+) {
+    lib.export(
+        sym,
+        Arc::new(move |k, _t, args| with_gfx(k, |k, g| f(k, g, args))),
+    );
+}
+
+fn make_current(s: &mut GfxStack, args: &[i64]) -> Result<i64, Errno> {
+    s.egl
+        .make_current(ContextId(arg(args, 0) as u64))
+        .map(|_| 0)
+}
+
+fn create_window_surface(
+    s: &mut GfxStack,
+    args: &[i64],
+) -> Result<i64, Errno> {
+    let ctx = ContextId(arg(args, 0) as u64);
+    let (w, h) = (arg(args, 1) as u32, arg(args, 2) as u32);
+    s.egl
+        .create_window_surface(&mut s.flinger, &mut s.gralloc, ctx, w, h)
+        .map(|sid| sid.0 as i64)
+}
+
+fn swap_buffers(k: &mut Kernel, s: &mut GfxStack) -> Result<i64, Errno> {
+    s.egl
+        .swap_buffers(k, &mut s.gpu, &mut s.flinger, &s.gralloc)
+        .map(|_| 0)
+}
+
+/// Builds the domestic `libGLESv2.so` export table.
+pub fn build_libglesv2() -> NativeLibrary {
     let mut lib = NativeLibrary::new("libGLESv2.so");
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glClear",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_clear(k, egl, gpu, args.first().copied().unwrap_or(0))
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glClearColor",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                api::gl_clear_color(
-                    k,
-                    &mut s.egl,
-                    args.first().copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glDrawArrays",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_draw_arrays(
-                    k,
-                    egl,
-                    gpu,
-                    args.get(2).copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glDrawElements",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_draw_arrays(
-                    k,
-                    egl,
-                    gpu,
-                    args.get(1).copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glBindTexture",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                api::gl_bind_texture(
-                    k,
-                    &mut s.egl,
-                    args.get(1).copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glGenTextures",
-            Arc::new(move |k, _t, _args| {
-                let mut s = g.lock().unwrap();
-                api::gl_gen_texture(k, &mut s.egl)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glTexImage2D",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_tex_image_2d(
-                    k,
-                    egl,
-                    gpu,
-                    args.first().copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glUseProgram",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                api::gl_use_program(
-                    k,
-                    &mut s.egl,
-                    args.first().copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glEnable",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                api::gl_enable(
-                    k,
-                    &mut s.egl,
-                    args.first().copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glFenceSync",
-            Arc::new(move |k, _t, _args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_fence_sync(k, egl, gpu)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glClientWaitSync",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_client_wait_sync(
-                    k,
-                    egl,
-                    gpu,
-                    args.first().copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glFinish",
-            Arc::new(move |k, _t, _args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_finish(k, egl, gpu)
-            }),
-        );
-    }
+    export_gfx(&mut lib, "glClear", |k, s, args| {
+        api::gl_clear(k, &mut s.egl, &mut s.gpu, arg(args, 0))
+    });
+    export_gfx(&mut lib, "glClearColor", |k, s, args| {
+        api::gl_clear_color(k, &mut s.egl, arg(args, 0))
+    });
+    export_gfx(&mut lib, "glDrawArrays", |k, s, args| {
+        api::gl_draw_arrays(k, &mut s.egl, &mut s.gpu, arg(args, 2))
+    });
+    export_gfx(&mut lib, "glDrawElements", |k, s, args| {
+        api::gl_draw_arrays(k, &mut s.egl, &mut s.gpu, arg(args, 1))
+    });
+    export_gfx(&mut lib, "glBindTexture", |k, s, args| {
+        api::gl_bind_texture(k, &mut s.egl, arg(args, 1))
+    });
+    export_gfx(&mut lib, "glGenTextures", |k, s, _| {
+        api::gl_gen_texture(k, &mut s.egl)
+    });
+    export_gfx(&mut lib, "glTexImage2D", |k, s, args| {
+        api::gl_tex_image_2d(k, &mut s.egl, &mut s.gpu, arg(args, 0))
+    });
+    export_gfx(&mut lib, "glUseProgram", |k, s, args| {
+        api::gl_use_program(k, &mut s.egl, arg(args, 0))
+    });
+    export_gfx(&mut lib, "glEnable", |k, s, args| {
+        api::gl_enable(k, &mut s.egl, arg(args, 0))
+    });
+    export_gfx(&mut lib, "glFenceSync", |k, s, _| {
+        api::gl_fence_sync(k, &mut s.egl, &mut s.gpu)
+    });
+    export_gfx(&mut lib, "glClientWaitSync", |k, s, args| {
+        api::gl_client_wait_sync(k, &mut s.egl, &mut s.gpu, arg(args, 0))
+    });
+    export_gfx(&mut lib, "glFinish", |k, s, _| {
+        api::gl_finish(k, &mut s.egl, &mut s.gpu)
+    });
     for sym in [
         "glActiveTexture",
         "glAttachShader",
@@ -312,154 +224,70 @@ pub fn build_libglesv2(gfx: &SharedGfx) -> NativeLibrary {
         "glVertexAttribPointer",
         "glViewport",
     ] {
-        lib.export(sym, stateful_noop(gfx));
+        export_gfx(&mut lib, sym, |k, s, _| {
+            k.charge_cpu(crate::gles::GL_DISPATCH_NS);
+            s.egl.current_mut()?.total_calls += 1;
+            Ok(0)
+        });
     }
     lib
 }
 
 /// Builds the domestic `libEGL.so` export table.
-pub fn build_libegl(gfx: &SharedGfx) -> NativeLibrary {
+pub fn build_libegl() -> NativeLibrary {
     let mut lib = NativeLibrary::new("libEGL.so");
-    {
-        let g = gfx.clone();
-        lib.export(
-            "eglCreateContext",
-            Arc::new(move |k, _t, _args| {
-                k.charge_cpu(4_000);
-                Ok(g.lock().unwrap().egl.create_context().0 as i64)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "eglCreateWindowSurface",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(20_000);
-                let ctx = crate::gles::ContextId(
-                    args.first().copied().unwrap_or(0) as u64,
-                );
-                let w = args.get(1).copied().unwrap_or(0) as u32;
-                let h = args.get(2).copied().unwrap_or(0) as u32;
-                let mut s = g.lock().unwrap();
-                let GfxStack {
-                    egl,
-                    flinger,
-                    gralloc,
-                    ..
-                } = &mut *s;
-                egl.create_window_surface(flinger, gralloc, ctx, w, h)
-                    .map(|sid| sid.0 as i64)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "eglMakeCurrent",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(2_500);
-                let ctx = crate::gles::ContextId(
-                    args.first().copied().unwrap_or(0) as u64,
-                );
-                g.lock().unwrap().egl.make_current(ctx).map(|_| 0)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "eglSwapBuffers",
-            Arc::new(move |k, _t, _args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack {
-                    gpu,
-                    egl,
-                    flinger,
-                    gralloc,
-                } = &mut *s;
-                egl.swap_buffers(k, gpu, flinger, gralloc).map(|_| 0)
-            }),
-        );
-    }
+    export_gfx(&mut lib, "eglCreateContext", |k, s, _| {
+        k.charge_cpu(4_000);
+        Ok(s.egl.create_context().0 as i64)
+    });
+    export_gfx(&mut lib, "eglCreateWindowSurface", |k, s, args| {
+        k.charge_cpu(20_000);
+        create_window_surface(s, args)
+    });
+    export_gfx(&mut lib, "eglMakeCurrent", |k, s, args| {
+        k.charge_cpu(2_500);
+        make_current(s, args)
+    });
+    export_gfx(&mut lib, "eglSwapBuffers", |k, s, _| swap_buffers(k, s));
     lib
 }
 
 /// Builds the domestic `libgralloc.so` export table.
-pub fn build_libgralloc(gfx: &SharedGfx) -> NativeLibrary {
+pub fn build_libgralloc() -> NativeLibrary {
     let mut lib = NativeLibrary::new("libgralloc.so");
-    {
-        let g = gfx.clone();
-        lib.export(
-            "gralloc_alloc",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(9_000); // ion allocation + map
-                let w = args.first().copied().unwrap_or(0) as u32;
-                let h = args.get(1).copied().unwrap_or(0) as u32;
-                g.lock()
-                    .unwrap()
-                    .gralloc
-                    .alloc(w, h, PixelFormat::Rgba8888)
-                    .map(|b| b.0 as i64)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "gralloc_lock",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(600);
-                let id = BufferId(args.first().copied().unwrap_or(0) as u64);
-                let mut s = g.lock().unwrap();
-                let b = s.gralloc.get_mut(id)?;
-                if b.locked {
-                    return Err(Errno::EBUSY);
-                }
-                b.locked = true;
-                Ok(0)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "gralloc_unlock",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(600);
-                let id = BufferId(args.first().copied().unwrap_or(0) as u64);
-                let mut s = g.lock().unwrap();
-                let b = s.gralloc.get_mut(id)?;
-                if !b.locked {
-                    return Err(Errno::EINVAL);
-                }
-                b.locked = false;
-                Ok(0)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "gralloc_retain",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(300);
-                let id = BufferId(args.first().copied().unwrap_or(0) as u64);
-                g.lock().unwrap().gralloc.retain(id).map(|_| 0)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "gralloc_release",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(300);
-                let id = BufferId(args.first().copied().unwrap_or(0) as u64);
-                g.lock().unwrap().gralloc.release(id).map(|_| 0)
-            }),
-        );
-    }
+    export_gfx(&mut lib, "gralloc_alloc", |k, s, args| {
+        k.charge_cpu(9_000); // ion allocation + map
+        let (w, h) = (arg(args, 0) as u32, arg(args, 1) as u32);
+        s.gralloc
+            .alloc(w, h, PixelFormat::Rgba8888)
+            .map(|b| b.0 as i64)
+    });
+    export_gfx(&mut lib, "gralloc_lock", |k, s, args| {
+        k.charge_cpu(600);
+        let b = s.gralloc.get_mut(BufferId(arg(args, 0) as u64))?;
+        if b.locked {
+            return Err(Errno::EBUSY);
+        }
+        b.locked = true;
+        Ok(0)
+    });
+    export_gfx(&mut lib, "gralloc_unlock", |k, s, args| {
+        k.charge_cpu(600);
+        let b = s.gralloc.get_mut(BufferId(arg(args, 0) as u64))?;
+        if !b.locked {
+            return Err(Errno::EINVAL);
+        }
+        b.locked = false;
+        Ok(0)
+    });
+    export_gfx(&mut lib, "gralloc_retain", |k, s, args| {
+        k.charge_cpu(300);
+        s.gralloc.retain(BufferId(arg(args, 0) as u64)).map(|_| 0)
+    });
+    export_gfx(&mut lib, "gralloc_release", |k, s, args| {
+        k.charge_cpu(300);
+        s.gralloc.release(BufferId(arg(args, 0) as u64)).map(|_| 0)
+    });
     lib
 }
 
@@ -467,95 +295,34 @@ pub fn build_libgralloc(gfx: &SharedGfx) -> NativeLibrary {
 /// that utilizes Android's libEGL library and SurfaceFlinger service to
 /// provide functionality corresponding to the missing EAGL functions"
 /// (paper §5.3).
-pub fn build_libeglbridge(gfx: &SharedGfx) -> NativeLibrary {
+pub fn build_libeglbridge() -> NativeLibrary {
     let mut lib = NativeLibrary::new("libEGLbridge.so");
-    {
-        let g = gfx.clone();
-        lib.export(
-            "EAGLBridge_initWithAPI",
-            Arc::new(move |k, _t, _args| {
-                k.charge_cpu(5_000);
-                Ok(g.lock().unwrap().egl.create_context().0 as i64)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "EAGLBridge_setCurrent",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(2_500);
-                let ctx = crate::gles::ContextId(
-                    args.first().copied().unwrap_or(0) as u64,
-                );
-                g.lock().unwrap().egl.make_current(ctx).map(|_| 0)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "EAGLBridge_renderbufferStorage",
-            Arc::new(move |k, _t, args| {
-                // Window memory comes from SurfaceFlinger, so "Cider
-                // manage[s] the iOS display in the same manner that all
-                // Android app windows are managed" (§5.3).
-                k.charge_cpu(22_000);
-                let ctx = crate::gles::ContextId(
-                    args.first().copied().unwrap_or(0) as u64,
-                );
-                let w = args.get(1).copied().unwrap_or(0) as u32;
-                let h = args.get(2).copied().unwrap_or(0) as u32;
-                let mut s = g.lock().unwrap();
-                let GfxStack {
-                    egl,
-                    flinger,
-                    gralloc,
-                    ..
-                } = &mut *s;
-                egl.create_window_surface(flinger, gralloc, ctx, w, h)
-                    .map(|sid| sid.0 as i64)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "EAGLBridge_present",
-            Arc::new(move |k, _t, _args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack {
-                    gpu,
-                    egl,
-                    flinger,
-                    gralloc,
-                } = &mut *s;
-                egl.swap_buffers(k, gpu, flinger, gralloc).map(|_| 0)
-            }),
-        );
-    }
-    {
-        // The buggy fence wait used by the prototype's Cider OpenGL ES
-        // library (§6.3).
-        let g = gfx.clone();
-        lib.export(
-            "glClientWaitSync_cider",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let was = s.gpu.fence_bug;
-                s.gpu.fence_bug = true;
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                let r = api::gl_client_wait_sync(
-                    k,
-                    egl,
-                    gpu,
-                    args.first().copied().unwrap_or(0),
-                );
-                s.gpu.fence_bug = was;
-                r
-            }),
-        );
-    }
+    export_gfx(&mut lib, "EAGLBridge_initWithAPI", |k, s, _| {
+        k.charge_cpu(5_000);
+        Ok(s.egl.create_context().0 as i64)
+    });
+    export_gfx(&mut lib, "EAGLBridge_setCurrent", |k, s, args| {
+        k.charge_cpu(2_500);
+        make_current(s, args)
+    });
+    export_gfx(&mut lib, "EAGLBridge_renderbufferStorage", |k, s, args| {
+        // Window memory comes from SurfaceFlinger, so "Cider manage[s]
+        // the iOS display in the same manner that all Android app
+        // windows are managed" (§5.3).
+        k.charge_cpu(22_000);
+        create_window_surface(s, args)
+    });
+    export_gfx(&mut lib, "EAGLBridge_present", |k, s, _| swap_buffers(k, s));
+    // The buggy fence wait used by the prototype's Cider OpenGL ES
+    // library (§6.3).
+    export_gfx(&mut lib, "glClientWaitSync_cider", |k, s, args| {
+        let was = s.gpu.fence_bug;
+        s.gpu.fence_bug = true;
+        let r =
+            api::gl_client_wait_sync(k, &mut s.egl, &mut s.gpu, arg(args, 0));
+        s.gpu.fence_bug = was;
+        r
+    });
     lib
 }
 
@@ -570,18 +337,18 @@ pub struct GfxInstallReport {
     pub fence_bug: bool,
 }
 
-/// Installs the full graphics stack into a Cider system and returns the
-/// shared stack plus a report.
+/// Installs the full graphics stack into a Cider system — the
+/// [`GfxStack`] itself goes into the kernel's extensions — and returns
+/// a report.
 pub fn install_gfx(
     sys: &mut CiderSystem,
     config: GfxConfig,
-) -> (SharedGfx, GfxInstallReport) {
-    let gfx: SharedGfx = Arc::new(Mutex::new(GfxStack::new()));
-
-    sys.register_library(build_libglesv2(&gfx));
-    sys.register_library(build_libegl(&gfx));
-    sys.register_library(build_libgralloc(&gfx));
-    sys.register_library(build_libeglbridge(&gfx));
+) -> GfxInstallReport {
+    sys.kernel.extensions.insert(GfxStack::new());
+    sys.register_library(build_libglesv2());
+    sys.register_library(build_libegl());
+    sys.register_library(build_libgralloc());
+    sys.register_library(build_libeglbridge());
 
     // The generation script: match the iOS OpenGLES exports against the
     // domestic libraries.
@@ -639,12 +406,11 @@ pub fn install_gfx(
     // The AppleM2CLCD framebuffer driver (paper §5.1).
     crate::fbdriver::register_display_driver(sys);
 
-    let report = GfxInstallReport {
+    GfxInstallReport {
         matched,
         bridged_eagl: bridged,
         fence_bug: config.fence_bug,
-    };
-    (gfx, report)
+    }
 }
 
 #[cfg(test)]
@@ -670,10 +436,14 @@ mod tests {
         tid
     }
 
+    fn gfx(sys: &CiderSystem) -> &GfxStack {
+        sys.kernel.extensions.get::<GfxStack>().unwrap()
+    }
+
     #[test]
     fn install_matches_standard_symbols_and_bridges_eagl() {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (_, report) = install_gfx(&mut sys, GfxConfig::default());
+        let report = install_gfx(&mut sys, GfxConfig::default());
         assert_eq!(report.matched, standard_gles_symbols().len());
         assert_eq!(report.bridged_eagl, EAGL_SYMBOLS.len());
         assert!(report.fence_bug);
@@ -682,7 +452,7 @@ mod tests {
     #[test]
     fn ios_app_renders_through_diplomats() {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+        install_gfx(&mut sys, GfxConfig::default());
         let tid = foreign_thread(&mut sys);
         let lib = "OpenGLES.framework/OpenGLES";
         // EAGL setup through the bridge.
@@ -704,7 +474,7 @@ mod tests {
             .unwrap();
         sys.diplomat_call(tid, lib, "EAGLContext_presentRenderbuffer", &[])
             .unwrap();
-        let g = gfx.lock().unwrap();
+        let g = gfx(&sys);
         assert_eq!(g.flinger.frames_presented, 1);
         assert!(g.gpu.gpu_busy_ns > 0);
     }
@@ -712,7 +482,7 @@ mod tests {
     #[test]
     fn fence_bug_only_on_diplomatic_path() {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+        install_gfx(&mut sys, GfxConfig::default());
         let tid = foreign_thread(&mut sys);
         let lib = "OpenGLES.framework/OpenGLES";
         let ctx = sys
@@ -730,21 +500,21 @@ mod tests {
         let fence = sys.diplomat_call(tid, lib, "glFenceSync", &[]).unwrap();
         sys.diplomat_call(tid, lib, "glClientWaitSync", &[fence])
             .unwrap();
-        assert_eq!(gfx.lock().unwrap().gpu.bug_stalls, 1);
+        assert_eq!(gfx(&sys).gpu.bug_stalls, 1);
         // The domestic path stays correct.
-        assert!(!gfx.lock().unwrap().gpu.fence_bug);
+        assert!(!gfx(&sys).gpu.fence_bug);
     }
 
     #[test]
     fn iosurface_interposition_reaches_gralloc() {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+        install_gfx(&mut sys, GfxConfig::default());
         let tid = foreign_thread(&mut sys);
         let lib = "IOSurface.framework/IOSurface";
         let buf = sys
             .diplomat_call(tid, lib, "IOSurfaceCreate", &[256, 256])
             .unwrap();
-        assert_eq!(gfx.lock().unwrap().gralloc.live(), 1);
+        assert_eq!(gfx(&sys).gralloc.live(), 1);
         sys.diplomat_call(tid, lib, "IOSurfaceLock", &[buf])
             .unwrap();
         assert_eq!(
@@ -755,6 +525,25 @@ mod tests {
             .unwrap();
         sys.diplomat_call(tid, lib, "IOSurfaceDecrementUseCount", &[buf])
             .unwrap();
-        assert_eq!(gfx.lock().unwrap().gralloc.live(), 0);
+        assert_eq!(gfx(&sys).gralloc.live(), 0);
+    }
+
+    #[test]
+    fn gl_calls_without_a_stack_fail_with_enodev() {
+        let mut sys = CiderSystem::new(DeviceProfile::nexus7());
+        install_gfx(&mut sys, GfxConfig::default());
+        let tid = foreign_thread(&mut sys);
+        sys.kernel.extensions.take::<GfxStack>().unwrap();
+        let lib = "OpenGLES.framework/OpenGLES";
+        for (sym, args) in [
+            ("EAGLContext_initWithAPI", &[][..]),
+            ("glClear", &[0x4000][..]),
+            ("glFlush", &[][..]),
+        ] {
+            assert_eq!(
+                sys.diplomat_call(tid, lib, sym, args),
+                Err(Errno::ENODEV)
+            );
+        }
     }
 }

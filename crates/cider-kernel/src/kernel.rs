@@ -56,9 +56,9 @@ use crate::warm::WarmStart;
 pub type ProgramBehavior = Arc<dyn Fn(&mut Kernel, Tid) -> i32 + Send + Sync>;
 
 /// Typed storage for kernel extensions — state that higher layers
-/// (Cider) compile into the kernel. Handlers `take` their state out,
-/// operate with both the state and the kernel borrowed, and `insert` it
-/// back.
+/// (Cider's `CiderState`, the graphics stack) compile into the kernel.
+/// Handlers reach it through [`Kernel::with_ext`], which takes the state
+/// out, lends both it and the kernel mutably, and puts it back.
 #[derive(Default)]
 pub struct Extensions {
     map: HashMap<std::any::TypeId, Box<dyn std::any::Any + Send>>,
@@ -317,6 +317,21 @@ impl Kernel {
         self.programs.insert(symbol.into(), body);
     }
 
+    /// Runs `f` with the extension of type `T` taken out of
+    /// [`Kernel::extensions`], so both can be borrowed mutably, and puts
+    /// it back afterwards. `None` when no `T` is installed — which
+    /// includes a nested `with_ext::<T>` inside `f`, since the outer
+    /// call holds the value.
+    pub fn with_ext<T: Send + 'static, R>(
+        &mut self,
+        f: impl FnOnce(&mut Kernel, &mut T) -> R,
+    ) -> Option<R> {
+        let mut ext = self.extensions.take::<T>()?;
+        let r = f(self, &mut ext);
+        self.extensions.insert(ext);
+        Some(r)
+    }
+
     // ------------------------------------------------------------------
     // Cost charging.
     // ------------------------------------------------------------------
@@ -385,7 +400,7 @@ impl Kernel {
         }
     }
 
-    fn trace_vfs(&self, tid: Tid, op: &'static str, bytes: u64) {
+    fn trace_vfs(&mut self, tid: Tid, op: &'static str, bytes: u64) {
         if self.trace.is_enabled() {
             self.trace
                 .record(self.trace_ctx(tid), EventKind::VfsOp { op, bytes });
@@ -2884,6 +2899,14 @@ mod tests {
         k.extensions.insert(Marker(1));
         k.extensions.insert(Marker(2));
         assert_eq!(k.extensions.get::<Marker>(), Some(&Marker(2)));
+        // with_ext lends the value and the kernel, then restores it.
+        assert_eq!(k.with_ext::<u64, _>(|_, _| ()), None);
+        let inner = k.with_ext(|k, m: &mut Marker| {
+            m.0 += 1;
+            k.with_ext::<Marker, _>(|_, _| ())
+        });
+        assert_eq!(inner, Some(None));
+        assert_eq!(k.extensions.get::<Marker>(), Some(&Marker(3)));
     }
 
     #[test]

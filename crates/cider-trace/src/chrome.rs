@@ -171,7 +171,7 @@ mod tests {
     use crate::sink::TraceSink;
 
     fn sample() -> TraceSnapshot {
-        let sink = TraceSink::enabled(64);
+        let mut sink = TraceSink::enabled(64);
         let ctx = TraceContext {
             ts_ns: 1500,
             pid: 1,

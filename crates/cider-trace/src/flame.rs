@@ -131,11 +131,11 @@ mod tests {
 
     #[test]
     fn nested_spans_split_self_time() {
-        let sink = TraceSink::enabled(64);
+        let mut sink = TraceSink::enabled(64);
         let outer = sink.span("outer", ctx(0));
         let inner = sink.span("inner", ctx(100));
-        inner.end(400);
-        outer.end(1000);
+        inner.end(&mut sink, 400);
+        outer.end(&mut sink, 1000);
         let folded = export(&sink.snapshot().unwrap());
         assert!(
             folded.contains("pid7/tid9/foreign;outer;inner 300"),
@@ -147,10 +147,10 @@ mod tests {
 
     #[test]
     fn repeated_stacks_accumulate() {
-        let sink = TraceSink::enabled(64);
+        let mut sink = TraceSink::enabled(64);
         for i in 0..3u64 {
             let s = sink.span("op", ctx(i * 100));
-            s.end(i * 100 + 10);
+            s.end(&mut sink, i * 100 + 10);
         }
         let folded = export(&sink.snapshot().unwrap());
         assert!(folded.contains("pid7/tid9/foreign;op 30"), "{folded}");
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn syscall_events_fold_too() {
-        let sink = TraceSink::enabled(64);
+        let mut sink = TraceSink::enabled(64);
         sink.record(
             ctx(0),
             EventKind::SyscallEnter {
@@ -177,11 +177,11 @@ mod tests {
 
     #[test]
     fn unmatched_ends_are_ignored() {
-        let sink = TraceSink::enabled(64);
+        let mut sink = TraceSink::enabled(64);
         sink.record(ctx(10), EventKind::SyscallExit { nr: 4, ret: 0 });
         let span = sink.span("never_closed", ctx(20));
         let folded = export(&sink.snapshot().unwrap());
         assert!(folded.is_empty(), "{folded}");
-        span.end(30);
+        span.end(&mut sink, 30);
     }
 }

@@ -12,15 +12,15 @@
 //! The design invariant is **zero virtual cost**: recording an event
 //! never advances the virtual clock, never blocks a thread, and never
 //! changes scheduling, so every benchmark figure is bit-identical with
-//! tracing on or off. A [`TraceSink`] is a cheap handle that is inert
-//! when disabled; instrumentation sites call it unconditionally.
+//! tracing on or off. A [`TraceSink`] is owned by one kernel and is
+//! inert when disabled; instrumentation sites call it unconditionally.
 //!
 //! # Example
 //!
 //! ```
 //! use cider_trace::{EventKind, TraceContext, TraceSink};
 //!
-//! let sink = TraceSink::enabled(1024);
+//! let mut sink = TraceSink::enabled(1024);
 //! let ctx = TraceContext { ts_ns: 500, pid: 1, tid: 1, foreign: true };
 //! sink.record(ctx, EventKind::SyscallEnter { nr: 4, translated: Some(397) });
 //! sink.record(

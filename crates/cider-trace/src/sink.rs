@@ -1,21 +1,17 @@
 //! The [`TraceSink`] handle instrumentation sites hold.
 //!
 //! A sink is either *disabled* — every call is a no-op on a `None`, no
-//! allocation, no interior mutability touched — or *enabled*, in which
-//! case events land in a shared [`TraceBuffer`] and metrics in a shared
-//! [`Metrics`] registry. Handles clone cheaply (an `Option<Arc>`), so the
-//! kernel, the Cider layer, and the graphics stack can all hold one
-//! without ownership gymnastics, and a traced kernel stays `Send` so
-//! whole devices can be farmed out to fleet worker threads. The mutex
-//! is never contended in practice — each simulated device owns its own
-//! sink — so the lock is a formality the type system demands, not a
-//! synchronization point.
+//! allocation — or *enabled*, in which case events land in a
+//! [`TraceBuffer`] and metrics in a [`Metrics`] registry. Each kernel
+//! owns exactly one sink (`Kernel::trace`); the Cider layer, the loader
+//! and the graphics stack record through `&mut Kernel`, never through a
+//! handle of their own. Nothing is shared, so a traced kernel is `Send`
+//! without a lock and whole devices can run on fleet worker threads.
 //!
 //! Nothing in this module touches the virtual clock: recording cannot
 //! perturb a measurement, which is the subsystem's core invariant.
 
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
 
 use crate::event::{EventKind, TraceContext, TraceEvent};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -31,10 +27,10 @@ struct TraceState {
     metrics: Metrics,
 }
 
-/// A cheap, cloneable tracing handle; inert when disabled.
-#[derive(Debug, Clone, Default)]
+/// A single-owner tracing handle; inert when disabled.
+#[derive(Debug, Default)]
 pub struct TraceSink {
-    state: Option<Arc<Mutex<TraceState>>>,
+    state: Option<Box<TraceState>>,
 }
 
 /// A frozen copy of everything a sink collected.
@@ -57,10 +53,10 @@ impl TraceSink {
     /// An active sink retaining up to `capacity` events.
     pub fn enabled(capacity: usize) -> TraceSink {
         TraceSink {
-            state: Some(Arc::new(Mutex::new(TraceState {
+            state: Some(Box::new(TraceState {
                 buffer: TraceBuffer::new(capacity),
                 metrics: Metrics::new(),
-            }))),
+            })),
         }
     }
 
@@ -75,15 +71,15 @@ impl TraceSink {
     }
 
     /// Records one event.
-    pub fn record(&self, ctx: TraceContext, kind: EventKind) {
-        if let Some(state) = &self.state {
-            state.lock().unwrap().buffer.push(TraceEvent { ctx, kind });
+    pub fn record(&mut self, ctx: TraceContext, kind: EventKind) {
+        if let Some(state) = &mut self.state {
+            state.buffer.push(TraceEvent { ctx, kind });
         }
     }
 
     /// Opens a span labelled `label` at `ctx`.
     pub fn span(
-        &self,
+        &mut self,
         label: impl Into<Cow<'static, str>>,
         ctx: TraceContext,
     ) -> Span {
@@ -91,53 +87,49 @@ impl TraceSink {
     }
 
     /// Adds to a named counter.
-    pub fn add(&self, name: &str, delta: u64) {
-        if let Some(state) = &self.state {
-            state.lock().unwrap().metrics.add(name, delta);
+    pub fn add(&mut self, name: &str, delta: u64) {
+        if let Some(state) = &mut self.state {
+            state.metrics.add(name, delta);
         }
     }
 
     /// Increments a named counter.
-    pub fn incr(&self, name: &str) {
+    pub fn incr(&mut self, name: &str) {
         self.add(name, 1);
     }
 
     /// Records a histogram observation.
-    pub fn observe(&self, name: &str, value: u64) {
-        if let Some(state) = &self.state {
-            state.lock().unwrap().metrics.observe(name, value);
+    pub fn observe(&mut self, name: &str, value: u64) {
+        if let Some(state) = &mut self.state {
+            state.metrics.observe(name, value);
         }
     }
 
     /// Reads a counter (0 when disabled or absent).
     pub fn counter(&self, name: &str) -> u64 {
         match &self.state {
-            Some(state) => state.lock().unwrap().metrics.counter(name),
+            Some(state) => state.metrics.counter(name),
             None => 0,
         }
     }
 
     /// Runs a closure against the live metrics registry, when enabled.
     pub fn with_metrics<R>(&self, f: impl FnOnce(&Metrics) -> R) -> Option<R> {
-        self.state.as_ref().map(|s| f(&s.lock().unwrap().metrics))
+        self.state.as_ref().map(|s| f(&s.metrics))
     }
 
     /// Snapshots everything collected so far (`None` when disabled).
     pub fn snapshot(&self) -> Option<TraceSnapshot> {
-        self.state.as_ref().map(|state| {
-            let state = state.lock().unwrap();
-            TraceSnapshot {
-                events: state.buffer.to_vec(),
-                dropped: state.buffer.dropped(),
-                metrics: state.metrics.snapshot(),
-            }
+        self.state.as_ref().map(|state| TraceSnapshot {
+            events: state.buffer.to_vec(),
+            dropped: state.buffer.dropped(),
+            metrics: state.metrics.snapshot(),
         })
     }
 
     /// Clears collected events and metrics, keeping the sink enabled.
-    pub fn clear(&self) {
-        if let Some(state) = &self.state {
-            let mut state = state.lock().unwrap();
+    pub fn clear(&mut self) {
+        if let Some(state) = &mut self.state {
             state.buffer.clear();
             state.metrics.clear();
         }
@@ -150,7 +142,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_is_inert_and_cheap() {
-        let sink = TraceSink::disabled();
+        let mut sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
         sink.record(
             TraceContext::kernel(1),
@@ -165,7 +157,7 @@ mod tests {
 
     #[test]
     fn enabled_sink_collects_events_and_metrics() {
-        let sink = TraceSink::enabled(8);
+        let mut sink = TraceSink::enabled(8);
         assert!(sink.is_enabled());
         sink.record(
             TraceContext::kernel(10),
@@ -181,16 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_state() {
-        let sink = TraceSink::enabled(8);
-        let other = sink.clone();
-        other.incr("shared");
-        assert_eq!(sink.counter("shared"), 1);
-    }
-
-    #[test]
     fn clear_keeps_sink_enabled() {
-        let sink = TraceSink::enabled(4);
+        let mut sink = TraceSink::enabled(4);
         sink.incr("c");
         for i in 0..9 {
             sink.record(

@@ -16,14 +16,13 @@ use crate::sink::TraceSink;
 #[must_use = "a span records its duration only when ended"]
 #[derive(Debug)]
 pub struct Span {
-    sink: TraceSink,
     label: Cow<'static, str>,
     ctx: TraceContext,
 }
 
 impl Span {
     pub(crate) fn open(
-        sink: &TraceSink,
+        sink: &mut TraceSink,
         label: Cow<'static, str>,
         ctx: TraceContext,
     ) -> Span {
@@ -33,11 +32,7 @@ impl Span {
                 label: label.clone(),
             },
         );
-        Span {
-            sink: sink.clone(),
-            label,
-            ctx,
-        }
+        Span { label, ctx }
     }
 
     /// Virtual time at which the span opened.
@@ -50,11 +45,12 @@ impl Span {
         &self.label
     }
 
-    /// Closes the span at `end_ns`, emitting the end event and recording
-    /// the duration in the histogram named by the label.
-    pub fn end(self, end_ns: u64) {
+    /// Closes the span at `end_ns` on `sink` (the one that opened it),
+    /// emitting the end event and recording the duration in the
+    /// histogram named by the label.
+    pub fn end(self, sink: &mut TraceSink, end_ns: u64) {
         let dur = end_ns.saturating_sub(self.ctx.ts_ns);
-        self.sink.record(
+        sink.record(
             TraceContext {
                 ts_ns: end_ns,
                 ..self.ctx
@@ -63,7 +59,7 @@ impl Span {
                 label: self.label.clone(),
             },
         );
-        self.sink.observe(&self.label, dur);
+        sink.observe(&self.label, dur);
     }
 }
 
@@ -73,7 +69,7 @@ mod tests {
 
     #[test]
     fn span_emits_pair_and_histogram() {
-        let sink = TraceSink::enabled(16);
+        let mut sink = TraceSink::enabled(16);
         let ctx = TraceContext {
             ts_ns: 100,
             pid: 1,
@@ -82,7 +78,7 @@ mod tests {
         };
         let span = sink.span("syscall/foreign/null", ctx);
         assert_eq!(span.start_ns(), 100);
-        span.end(1000);
+        span.end(&mut sink, 1000);
         let snap = sink.snapshot().unwrap();
         assert_eq!(snap.events.len(), 2);
         assert!(matches!(snap.events[0].kind, EventKind::SpanBegin { .. }));
@@ -95,17 +91,17 @@ mod tests {
 
     #[test]
     fn disabled_sink_spans_are_inert() {
-        let sink = TraceSink::disabled();
+        let mut sink = TraceSink::disabled();
         let span = sink.span("x", TraceContext::kernel(5));
-        span.end(9);
+        span.end(&mut sink, 9);
         assert!(sink.snapshot().is_none());
     }
 
     #[test]
     fn clock_going_nowhere_records_zero() {
-        let sink = TraceSink::enabled(16);
+        let mut sink = TraceSink::enabled(16);
         let span = sink.span("z", TraceContext::kernel(50));
-        span.end(50);
+        span.end(&mut sink, 50);
         let snap = sink.snapshot().unwrap();
         assert_eq!(snap.metrics.histograms.get("z").unwrap().max(), Some(0));
     }

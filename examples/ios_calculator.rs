@@ -13,7 +13,7 @@ use cider_apps::launcher::{install_ipa_with_shortcut, Launcher};
 use cider_apps::package::{build_ios_app, decrypt_ipa, DeviceKey};
 use cider_core::services::msg_ids;
 use cider_core::system::CiderSystem;
-use cider_gfx::stack::{install_gfx, GfxConfig};
+use cider_gfx::stack::{install_gfx, GfxConfig, GfxStack};
 use cider_input::events::IosHidEvent;
 use cider_input::gestures::synth_tap;
 use cider_kernel::profile::DeviceProfile;
@@ -28,7 +28,7 @@ fn key_pos(key: char) -> (i32, i32) {
 
 fn main() {
     let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-    let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+    install_gfx(&mut sys, GfxConfig::default());
 
     // Install the decrypted app, exactly as the paper's §6.1 pipeline.
     let ipa = decrypt_ipa(
@@ -47,7 +47,7 @@ fn main() {
     sys.kernel
         .register_program("calc_main", std::sync::Arc::new(|_, _| 0));
 
-    let mut cp = CiderPress::launch(&mut sys, &gfx, &binary).expect("launch");
+    let mut cp = CiderPress::launch(&mut sys, &binary).expect("launch");
     println!("Calculator Pro launched under CiderPress");
 
     // Set up the app's EAGL rendering surface through the diplomatic
@@ -114,7 +114,7 @@ fn main() {
         sys.services.config_value("network").unwrap_or("?")
     );
 
-    let frames = gfx.lock().unwrap().flinger.frames_presented;
+    let frames = gfx(&sys).flinger.frames_presented;
     println!(
         "rendered {frames} frames through diplomatic OpenGL ES \
          ({} diplomat calls total)",
@@ -122,11 +122,11 @@ fn main() {
     );
 
     // Home button: pause, screenshot into recents, then quit.
-    cp.pause(&mut sys, &gfx).expect("pause");
-    if let Some((_, shot)) = gfx.lock().unwrap().last_screenshot_of() {
-        launcher.push_recent("Calculator Pro", shot);
+    cp.pause(&mut sys).expect("pause");
+    if let Some((_, shot)) = &gfx(&sys).flinger.last_screenshot {
+        launcher.push_recent("Calculator Pro", shot.clone());
     }
-    cp.stop(&mut sys, &gfx).expect("stop");
+    cp.stop(&mut sys).expect("stop");
     println!(
         "app stopped; recents list holds {} entries; virtual time {:.2} ms",
         launcher.recents.len(),
@@ -134,16 +134,9 @@ fn main() {
     );
 }
 
-/// Helper trait object access: the compositor's screenshot.
-trait ScreenshotExt {
-    fn last_screenshot_of(&self) -> Option<(u64, Vec<u32>)>;
-}
-
-impl ScreenshotExt for cider_gfx::stack::GfxStack {
-    fn last_screenshot_of(&self) -> Option<(u64, Vec<u32>)> {
-        self.flinger
-            .last_screenshot
-            .as_ref()
-            .map(|(id, shot)| (id.0, shot.clone()))
-    }
+fn gfx(sys: &CiderSystem) -> &GfxStack {
+    sys.kernel
+        .extensions
+        .get::<GfxStack>()
+        .expect("gfx installed")
 }

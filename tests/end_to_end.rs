@@ -7,16 +7,23 @@ use cider_apps::launcher::{install_ipa_with_shortcut, Launcher};
 use cider_apps::package::{build_ios_app, decrypt_ipa, DeviceKey, Ipa};
 use cider_core::persona::persona_of;
 use cider_core::system::CiderSystem;
-use cider_gfx::stack::{install_gfx, GfxConfig, SharedGfx};
+use cider_gfx::stack::{install_gfx, with_gfx, GfxConfig, GfxStack};
 use cider_input::gestures::{synth_pinch, synth_tap};
 use cider_kernel::profile::DeviceProfile;
 
-fn booted() -> (CiderSystem, SharedGfx) {
+fn booted() -> CiderSystem {
     let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-    let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+    install_gfx(&mut sys, GfxConfig::default());
     sys.kernel
         .register_program("app_main", std::sync::Arc::new(|_, _| 0));
-    (sys, gfx)
+    sys
+}
+
+fn gfx(sys: &CiderSystem) -> &GfxStack {
+    sys.kernel
+        .extensions
+        .get::<GfxStack>()
+        .expect("gfx installed")
 }
 
 fn installed_app(sys: &mut CiderSystem) -> (Launcher, String, Ipa) {
@@ -33,11 +40,11 @@ fn installed_app(sys: &mut CiderSystem) -> (Launcher, String, Ipa) {
 
 #[test]
 fn full_app_lifecycle() {
-    let (mut sys, gfx) = booted();
+    let mut sys = booted();
     let (launcher, path, ipa) = installed_app(&mut sys);
     assert_eq!(launcher.shortcuts[0].icon, ipa.icon);
 
-    let mut cp = CiderPress::launch(&mut sys, &gfx, &path).expect("launch");
+    let mut cp = CiderPress::launch(&mut sys, &path).expect("launch");
     assert_eq!(
         persona_of(&sys.kernel, cp.app.1).unwrap(),
         cider_abi::Persona::Foreign
@@ -72,13 +79,13 @@ fn full_app_lifecycle() {
         .unwrap();
     sys.diplomat_call(tid, lib, "EAGLContext_presentRenderbuffer", &[])
         .unwrap();
-    assert_eq!(gfx.lock().unwrap().flinger.frames_presented, 1);
+    assert_eq!(gfx(&sys).flinger.frames_presented, 1);
 
     // Lifecycle: pause, resume, stop.
-    cp.pause(&mut sys, &gfx).unwrap();
+    cp.pause(&mut sys).unwrap();
     assert_eq!(cp.state, AppState::Paused);
-    cp.resume(&mut sys, &gfx).unwrap();
-    cp.stop(&mut sys, &gfx).unwrap();
+    cp.resume(&mut sys).unwrap();
+    cp.stop(&mut sys).unwrap();
     assert_eq!(cp.state, AppState::Stopped);
 
     // Mach IPC books balance after the whole story.
@@ -89,12 +96,12 @@ fn full_app_lifecycle() {
 
 #[test]
 fn android_and_ios_apps_coexist() {
-    let (mut sys, gfx) = booted();
+    let mut sys = booted();
     let (_, path, _) = installed_app(&mut sys);
 
     // An Android app (interpreted workload) runs alongside the iOS app.
     let (android_pid, android_tid) = sys.spawn_process();
-    let cp = CiderPress::launch(&mut sys, &gfx, &path).expect("launch");
+    let cp = CiderPress::launch(&mut sys, &path).expect("launch");
 
     let prog = cider_apps::workloads::integer_program(200, 5);
     let mut vm = cider_apps::vm::Vm::new();
@@ -118,9 +125,9 @@ fn android_and_ios_apps_coexist() {
 fn yelp_style_fallback_when_device_missing() {
     // §6.4: the Yelp app runs even though GPS is unsupported — it asks,
     // gets "no such device", and continues on its fallback path.
-    let (mut sys, gfx) = booted();
+    let mut sys = booted();
     let (_, path, _) = installed_app(&mut sys);
-    let cp = CiderPress::launch(&mut sys, &gfx, &path).expect("launch");
+    let cp = CiderPress::launch(&mut sys, &path).expect("launch");
 
     // The app queries I/O Kit for a GPS service; none is registered.
     let found = cider_core::with_state(&mut sys.kernel, |_, st| {
@@ -150,9 +157,9 @@ fn eventpump_can_wait_with_kqueue() {
     // simply via API interposition" — here the eventpump's run loop
     // watches its bridge socket through the interposed kqueue.
     use cider_core::kqueue::{EvAction, EvFilter, KQueue, Kevent};
-    let (mut sys, gfx) = booted();
+    let mut sys = booted();
     let (_, path, _) = installed_app(&mut sys);
-    let mut cp = CiderPress::launch(&mut sys, &gfx, &path).expect("launch");
+    let mut cp = CiderPress::launch(&mut sys, &path).expect("launch");
     let (_, pump_tid, sock) = cp.bridge.pump;
 
     let mut kq = KQueue::new();
@@ -188,9 +195,9 @@ fn eventpump_can_wait_with_kqueue() {
 fn accelerometer_samples_reach_the_app() {
     // §5.2: "The events sent to this port include mouse, button,
     // accelerometer, proximity and touch screen events."
-    let (mut sys, gfx) = booted();
+    let mut sys = booted();
     let (_, path, _) = installed_app(&mut sys);
-    let mut cp = CiderPress::launch(&mut sys, &gfx, &path).expect("launch");
+    let mut cp = CiderPress::launch(&mut sys, &path).expect("launch");
     let tid = cp.app.1;
     for i in 0..10i32 {
         cp.deliver_input(
@@ -219,27 +226,20 @@ fn accelerometer_samples_reach_the_app() {
 
 #[test]
 fn screenshot_flows_into_recents() {
-    let (mut sys, gfx) = booted();
+    let mut sys = booted();
     let (mut launcher, path, _) = installed_app(&mut sys);
-    let cp = CiderPress::launch(&mut sys, &gfx, &path).expect("launch");
+    let cp = CiderPress::launch(&mut sys, &path).expect("launch");
 
     // Draw into the proxied surface and composite.
-    {
-        let mut g = gfx.lock().unwrap();
-        let buf = g.flinger.dequeue_buffer(cp.surface).unwrap();
-        g.gralloc.get_mut(buf).unwrap().pixels[0] = 0xC1DE;
-        g.flinger.queue_buffer(cp.surface).unwrap();
-        let cider_gfx::stack::GfxStack {
-            gpu,
-            flinger,
-            gralloc,
-            ..
-        } = &mut *g;
-        flinger.composite(&mut sys.kernel, gpu, gralloc);
-    }
-    let shot = gfx
-        .lock()
-        .unwrap()
+    with_gfx(&mut sys.kernel, |k, g| {
+        let buf = g.flinger.dequeue_buffer(cp.surface)?;
+        g.gralloc.get_mut(buf)?.pixels[0] = 0xC1DE;
+        g.flinger.queue_buffer(cp.surface)?;
+        g.flinger.composite(k, &mut g.gpu, &g.gralloc);
+        Ok(())
+    })
+    .unwrap();
+    let shot = gfx(&sys)
         .flinger
         .last_screenshot
         .clone()
@@ -315,7 +315,7 @@ fn lost_wakeups_are_flushed_without_deadlocking_virtual_time() {
     use cider_kernel::process::ThreadState;
     use cider_xnu::psynch::PsynchOutcome;
 
-    let (mut sys, _gfx) = booted();
+    let mut sys = booted();
     sys.kernel.trace = cider_trace::TraceSink::enabled_default();
     let (_pid, t1) = sys.kernel.spawn_process();
     let t2 = sys.kernel.spawn_thread(t1).unwrap();
@@ -372,7 +372,7 @@ fn lost_wakeups_are_flushed_without_deadlocking_virtual_time() {
 #[test]
 fn fault_matrix_never_panics_and_recovers() {
     for seed in [11u64, 23, 47] {
-        let (mut sys, _gfx) = booted();
+        let mut sys = booted();
         let (_launcher, path, _ipa) = installed_app(&mut sys);
         sys.kernel.trace = cider_trace::TraceSink::enabled_default();
         sys.kernel.faults = FaultLayer::with_plan(FaultPlan::matrix(seed));
@@ -380,7 +380,7 @@ fn fault_matrix_never_panics_and_recovers() {
         // App launch under faults: dyld resolution, Mach allocation,
         // and zone exhaustion may all fire. Failure must be a clean
         // error, success a working app.
-        let launched = CiderPress::launch(&mut sys, &_gfx, &path);
+        let launched = CiderPress::launch(&mut sys, &path);
         if let Ok(mut cp) = launched {
             for ev in synth_tap(64, 64, 0) {
                 // Drops are absorbed by the pump, never escalated.
@@ -488,7 +488,7 @@ fn spurious_jetsam_kill_is_recovered_by_the_app_supervisor() {
     use cider_abi::memorystatus::{AppState, LifecycleEvent};
     use cider_frameworks::AppSupervisor;
 
-    let (mut sys, _gfx) = booted();
+    let mut sys = booted();
     sys.kernel.trace = cider_trace::TraceSink::enabled_default();
     let spec = scenarios::install_scenario_bundle(
         &mut sys,
@@ -529,7 +529,7 @@ fn spurious_jetsam_kill_is_recovered_by_the_app_supervisor() {
 fn vanished_bundle_resource_degrades_to_the_fallback_localization() {
     use cider_frameworks::Bundle;
 
-    let (mut sys, _gfx) = booted();
+    let mut sys = booted();
     sys.kernel.trace = cider_trace::TraceSink::enabled_default();
     let spec = scenarios::install_scenario_bundle(
         &mut sys,

@@ -19,7 +19,7 @@ use cider_xnu::ipc::UserMessage;
 fn booted_with_app() -> (CiderSystem, cider_abi::ids::Pid, cider_abi::ids::Tid)
 {
     let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-    let (_, _) = install_gfx(&mut sys, GfxConfig::default());
+    install_gfx(&mut sys, GfxConfig::default());
     sys.kernel
         .register_program("app_main", std::sync::Arc::new(|_, _| 0));
     let mut b = MachOBuilder::executable("app_main");

@@ -18,7 +18,7 @@ use cider_loader::MachOBuilder;
 
 fn booted() -> CiderSystem {
     let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-    let (_, _) = install_gfx(&mut sys, GfxConfig::default());
+    install_gfx(&mut sys, GfxConfig::default());
     sys.kernel
         .register_program("app_main", std::sync::Arc::new(|_, _| 0));
     sys

@@ -10,6 +10,8 @@
 //!   round trip, realtime audio) built on `cider-frameworks`;
 //! * [`ablations`] — shared-cache, diplomat-aggregation, fence-bug, and
 //!   duct-tape-overhead experiments;
+//! * [`dispatch`] — the virtual-time trap, IPC v2 and launch-storm
+//!   costs of `BENCH_dispatch.json`;
 //! * [`report`] — the normalized-table formatter.
 //!
 //! The `cider-report` binary prints every table; the Criterion benches
@@ -18,6 +20,7 @@
 pub mod ablations;
 pub mod apps;
 pub mod config;
+pub mod dispatch;
 pub mod fig5;
 pub mod fig6;
 pub mod lmbench;

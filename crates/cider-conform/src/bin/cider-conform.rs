@@ -19,7 +19,6 @@
 
 use std::process::ExitCode;
 
-use cider_conform::bisect::bisect_pairs;
 use cider_conform::engine::{run_engine, EngineConfig};
 use cider_conform::CorpusEntry;
 
@@ -110,17 +109,7 @@ fn bisect_entry(path: &str, interval: usize) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "bisecting {} ({} ops, interval {interval})",
-        entry.name,
-        entry.program.ops.len()
-    );
-    for b in bisect_pairs(&entry.program, entry.plan.as_ref(), interval) {
-        println!("{}", b.summary());
-        for delta in &b.delta {
-            print!("{delta}");
-        }
-    }
+    print!("{}", entry.bisect_report(interval));
     ExitCode::SUCCESS
 }
 

@@ -26,10 +26,36 @@
 
 use cider_fault::{FaultPlan, FaultSite};
 
+use crate::bisect::bisect_pairs;
 use crate::exec::{execute, ConfigId};
 use crate::grammar::Program;
 
 const HEADER: &str = "cider-conform corpus v1";
+
+/// The curated IPC-heavy program behind `tests/regress/div_ipc_ring`:
+/// an out-of-line message, a ring submission and a ring flush drive
+/// the v2 surface before the known `diag` outcome divergence between
+/// the translated and the native XNU personality.
+const IPC_HEAVY: &str = "port_allocate\n\
+                         insert_right slot=0\n\
+                         mach_msg_ool slot=1 kb=2\n\
+                         ring_submit slot=0 len=4\n\
+                         ring_flush\n\
+                         diag n=1\n";
+
+/// Captures the hand-pinned `div_ipc_ring` regression entry: the
+/// IPC-heavy program above, observed under every configuration.
+pub fn div_ipc_ring() -> CorpusEntry {
+    CorpusEntry::capture(
+        "div_ipc_ring".into(),
+        EntryClass::Divergence,
+        7,
+        0,
+        None,
+        "outcome|xnu|xnu-native|kern:4|kern:0".into(),
+        Program::parse(IPC_HEAVY).expect("IPC_HEAVY parses"),
+    )
+}
 
 /// Why an entry is in the corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,6 +271,25 @@ impl CorpusEntry {
             }
         }
         Ok(())
+    }
+
+    /// Bisects both canonical diff pairs at checkpoint `interval` and
+    /// renders the result: one summary line per pair, each followed
+    /// by its state delta.
+    pub fn bisect_report(&self, interval: usize) -> String {
+        let mut s = format!(
+            "bisecting {} ({} ops, interval {interval})\n",
+            self.name,
+            self.program.ops.len()
+        );
+        for b in bisect_pairs(&self.program, self.plan.as_ref(), interval) {
+            s.push_str(&b.summary());
+            s.push('\n');
+            for delta in &b.delta {
+                s.push_str(&delta.to_string());
+            }
+        }
+        s
     }
 }
 

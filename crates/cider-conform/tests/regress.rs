@@ -10,55 +10,31 @@
 //! (their state and virtual clocks agree on both sides) and land
 //! exactly on the diag op.
 //!
-//! Regenerate the golden with `UPDATE_GOLDEN=1 cargo test -p
-//! cider-conform --test regress`.
+//! `cargo run --release --bin cider-report -- --regen` rewrites the
+//! entry from [`corpus::div_ipc_ring`]; these tests only compare.
 
 use std::fs;
 use std::path::PathBuf;
 
-use cider_conform::corpus::EntryClass;
-use cider_conform::{bisect, ConfigId, CorpusEntry, Program};
-
-const IPC_HEAVY: &str = "port_allocate\n\
-                         insert_right slot=0\n\
-                         mach_msg_ool slot=1 kb=2\n\
-                         ring_submit slot=0 len=4\n\
-                         ring_flush\n\
-                         diag n=1\n";
+use cider_conform::corpus;
+use cider_conform::{bisect, ConfigId, CorpusEntry};
 
 fn regress_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/regress/div_ipc_ring.conform")
 }
 
-fn capture_entry() -> CorpusEntry {
-    CorpusEntry::capture(
-        "div_ipc_ring".into(),
-        EntryClass::Divergence,
-        7,
-        0,
-        None,
-        "outcome|xnu|xnu-native|kern:4|kern:0".into(),
-        Program::parse(IPC_HEAVY).unwrap(),
-    )
-}
-
 /// The checked-in entry matches a fresh capture byte-for-byte and
 /// replays green.
 #[test]
 fn ipc_heavy_entry_is_pinned_and_replays() {
-    let entry = capture_entry();
-    let text = entry.serialize();
+    let text = corpus::div_ipc_ring().serialize();
     let path = regress_path();
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &text).unwrap();
-    }
     let want = fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     assert_eq!(
         text, want,
-        "regress entry drifted; regenerate with UPDATE_GOLDEN=1"
+        "regress entry drifted; regenerate with `cider-report --regen`"
     );
     let parsed = CorpusEntry::parse(&want).unwrap();
     parsed.replay().unwrap_or_else(|m| panic!("{m}"));
@@ -70,7 +46,7 @@ fn ipc_heavy_entry_is_pinned_and_replays() {
 /// outside the shared vocabulary) never diverges.
 #[test]
 fn ipc_heavy_bisection_is_deterministic() {
-    let program = Program::parse(IPC_HEAVY).unwrap();
+    let program = corpus::div_ipc_ring().program;
     let a = bisect(
         &program,
         None,

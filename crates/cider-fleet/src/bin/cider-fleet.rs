@@ -7,17 +7,15 @@
 //!     [--units N] \
 //!     [--mix even|ios|android] [--fault-seed S] \
 //!     [--lifecycle-seed S] [--heal] [--watchdog-ns N] \
-//!     [--json PATH] [--bench [PATH]]
+//!     [--json PATH]
 //! ```
 //!
-//! Without `--bench`, runs one fleet and prints (or writes, with
-//! `--json`) its percentile report. With `--bench`, runs the canonical
-//! benchmark matrix — lmbench mix and launch storm, each across the
-//! three persona mixes — and writes the combined `BENCH_fleet.json`.
-//!
-//! The report JSON never contains host wall-clock or thread counts:
-//! two runs of the same spec are byte-identical whatever `--threads`
-//! says, which is exactly what the CI fleet-smoke job diffs.
+//! Runs one fleet and prints (or writes, with `--json`) its percentile
+//! report. The report JSON never contains host wall-clock or thread
+//! counts: two runs of the same spec are byte-identical whatever
+//! `--threads` says. `cider-report --regen` pins that for the specs in
+//! `tests/golden/pins.txt` and renders `BENCH_fleet.json` with
+//! [`cider_fleet::bench_matrix`].
 
 use std::fs;
 use std::process::ExitCode;
@@ -39,7 +37,6 @@ struct Options {
     heal: bool,
     watchdog_ns: Option<u64>,
     json: Option<String>,
-    bench: Option<String>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -55,7 +52,6 @@ fn parse_args() -> Result<Options, String> {
         heal: false,
         watchdog_ns: None,
         json: None,
-        bench: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -114,11 +110,6 @@ fn parse_args() -> Result<Options, String> {
                 );
             }
             "--json" => opts.json = Some(value("--json")?),
-            "--bench" => {
-                opts.bench = Some(
-                    args.next().unwrap_or_else(|| "BENCH_fleet.json".into()),
-                );
-            }
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -182,44 +173,6 @@ fn run_one(opts: &Options) -> Result<String, String> {
     Ok(FleetReport::from_run(&run).to_json())
 }
 
-/// The canonical checked-in matrix: the headline workloads across
-/// the three persona mixes, 64 devices per cell, faults off so the
-/// latency numbers are the clean baseline.
-fn bench_matrix(threads: usize) -> String {
-    let mixes = [
-        PersonaMix::ALL_IOS,
-        PersonaMix::ALL_ANDROID,
-        PersonaMix::EVEN,
-    ];
-    let workloads = [
-        Workload::LmbenchMix { ops: 16 },
-        Workload::LaunchStorm { launches: 8 },
-        Workload::LaunchStormWarm { launches: 8 },
-        // Appended last so the earlier cells of the committed
-        // BENCH_fleet.json stay byte-identical.
-        Workload::IpcStorm { msgs: 8 },
-        Workload::AppLifecycle { cycles: 4 },
-    ];
-    let mut cells = Vec::new();
-    for workload in workloads {
-        for mix in mixes {
-            let spec = FleetSpec::new(64, 42, workload)
-                .mix(mix)
-                .host_threads(threads);
-            let run = run_fleet(&spec);
-            let json = FleetReport::from_run(&run).to_json();
-            // Indent each cell two levels to nest under the array.
-            let indented: String = json
-                .trim_end()
-                .lines()
-                .map(|l| format!("    {l}\n"))
-                .collect();
-            cells.push(indented.trim_end().to_string());
-        }
-    }
-    format!("{{\n  \"fleet_bench\": [\n{}\n  ]\n}}\n", cells.join(",\n"))
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
@@ -229,20 +182,16 @@ fn main() -> ExitCode {
         }
     };
 
-    let (json, dest) = if let Some(path) = &opts.bench {
-        (bench_matrix(opts.threads), Some(path.clone()))
-    } else {
-        match run_one(&opts) {
-            Ok(json) => (json, opts.json.clone()),
-            Err(e) => {
-                eprintln!("cider-fleet: {e}");
-                return ExitCode::FAILURE;
-            }
+    let json = match run_one(&opts) {
+        Ok(json) => json,
+        Err(e) => {
+            eprintln!("cider-fleet: {e}");
+            return ExitCode::FAILURE;
         }
     };
 
-    match dest {
-        Some(path) => match fs::write(&path, &json) {
+    match &opts.json {
+        Some(path) => match fs::write(path, &json) {
             Ok(()) => {
                 println!("wrote {path}");
                 ExitCode::SUCCESS

@@ -52,7 +52,7 @@ pub use device::{
 };
 pub use driver::{run_fleet, run_fleet_with_sink, FleetRun};
 pub use heal::{run_device_healed, HealConfig, HealStats};
-pub use report::{FleetReport, HealSummary, Percentiles};
+pub use report::{bench_matrix, FleetReport, HealSummary, Percentiles};
 pub use spec::{DeviceSpec, FleetSpec, PersonaMix, Workload};
 
 #[cfg(test)]

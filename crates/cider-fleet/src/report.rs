@@ -17,7 +17,8 @@ use std::fmt::Write as _;
 use cider_trace::Histogram;
 
 use crate::device::DeviceResult;
-use crate::driver::FleetRun;
+use crate::driver::{run_fleet, FleetRun};
+use crate::spec::{FleetSpec, PersonaMix, Workload};
 
 /// Nearest-rank p50/p95/p99 of one per-device distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -374,6 +375,44 @@ impl FleetReport {
         let comma = if trailing_comma { "," } else { "" };
         let _ = writeln!(out, "      }}{comma}");
     }
+}
+
+/// Renders the canonical checked-in `BENCH_fleet.json` matrix on
+/// `threads` host threads: the headline workloads across the three
+/// persona mixes, 64 devices per cell, faults off so the latency
+/// numbers are the clean baseline.
+pub fn bench_matrix(threads: usize) -> String {
+    let mixes = [
+        PersonaMix::ALL_IOS,
+        PersonaMix::ALL_ANDROID,
+        PersonaMix::EVEN,
+    ];
+    let workloads = [
+        Workload::LmbenchMix { ops: 16 },
+        Workload::LaunchStorm { launches: 8 },
+        Workload::LaunchStormWarm { launches: 8 },
+        // Appended last so the earlier cells of the committed
+        // BENCH_fleet.json stay byte-identical.
+        Workload::IpcStorm { msgs: 8 },
+        Workload::AppLifecycle { cycles: 4 },
+    ];
+    let mut cells = Vec::new();
+    for workload in workloads {
+        for mix in mixes {
+            let spec = FleetSpec::new(64, 42, workload)
+                .mix(mix)
+                .host_threads(threads);
+            let json = FleetReport::from_run(&run_fleet(&spec)).to_json();
+            // Indent each cell two levels to nest under the array.
+            let indented: String = json
+                .trim_end()
+                .lines()
+                .map(|l| format!("    {l}\n"))
+                .collect();
+            cells.push(indented.trim_end().to_string());
+        }
+    }
+    format!("{{\n  \"fleet_bench\": [\n{}\n  ]\n}}\n", cells.join(",\n"))
 }
 
 #[cfg(test)]

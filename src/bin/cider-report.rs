@@ -2,7 +2,14 @@
 //!
 //! ```text
 //! cargo run --release --bin cider-report [-- --raw] [-- --trace] [-- --fleet]
+//! cargo run --release --bin cider-report -- --regen
 //! ```
+//!
+//! With `--regen`, nothing is printed but progress: every checked-in
+//! artifact of [`cider_suite::artifacts::ARTIFACTS`] is rendered twice
+//! and rewritten in place, and the run fails if the two renderings
+//! differ or a rendering loses a claim it exists to show. An unknown
+//! flag prints usage and exits 2.
 //!
 //! With `--raw`, the tables additionally list the raw virtual-time
 //! values (ns for Figure 5 latencies, ops/s for Figure 6 throughput)
@@ -36,9 +43,12 @@
 
 use std::fs;
 use std::path::Path;
+use std::process::ExitCode;
+use std::time::Instant;
 
 use cider_bench::config::SystemConfig;
 use cider_bench::report::Table;
+use cider_suite::artifacts;
 use cider_trace::{chrome, flame, TraceSnapshot};
 
 fn print_raw(table: &Table) {
@@ -191,12 +201,45 @@ fn print_fleet(dir: &Path) {
     }
 }
 
-fn main() {
-    let raw = std::env::args().any(|a| a == "--raw");
-    let trace = std::env::args().any(|a| a == "--trace");
-    let conform = std::env::args().any(|a| a == "--conform");
-    let fleet = std::env::args().any(|a| a == "--fleet");
-    let apps = std::env::args().any(|a| a == "--apps");
+const FLAGS: [&str; 6] = [
+    "--raw",
+    "--trace",
+    "--conform",
+    "--fleet",
+    "--apps",
+    "--regen",
+];
+
+fn regen_artifacts() -> ExitCode {
+    let start = Instant::now();
+    for artifact in artifacts::ARTIFACTS {
+        let t = Instant::now();
+        if let Err(e) = artifact.regen(artifacts::root()) {
+            eprintln!("cider-report: regen {}: {e}", artifact.path);
+            return ExitCode::FAILURE;
+        }
+        let ms = t.elapsed().as_millis();
+        println!("regen {:<36} {ms:>7} ms", artifact.path);
+    }
+    println!("regen total {} ms", start.elapsed().as_millis());
+    ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = args.iter().find(|a| !FLAGS.contains(&a.as_str())) {
+        eprintln!(
+            "cider-report: unknown flag {bad:?}\nusage: cider-report \
+             [--raw] [--trace] [--conform] [--apps] [--fleet]\n       \
+             cider-report --regen"
+        );
+        return ExitCode::from(2);
+    }
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    if flag("--regen") {
+        return regen_artifacts();
+    }
+    let (raw, trace) = (flag("--raw"), flag("--trace"));
     println!("Cider reproduction — full evaluation (virtual time)\n");
     let fig5 = if trace {
         let (fig5, snapshots) = cider_bench::fig5::run_traced();
@@ -222,7 +265,7 @@ fn main() {
     if raw {
         print_raw(&fig6);
     }
-    if apps {
+    if flag("--apps") {
         let table = cider_bench::apps::run();
         println!("{table}");
         if raw {
@@ -245,13 +288,13 @@ fn main() {
         }
         Err(e) => println!("ablations failed: {e}"),
     }
-    if conform {
+    if flag("--conform") {
         use cider_conform::engine::{run_engine, EngineConfig};
         let cfg = EngineConfig::default();
         println!("\n## Conformance (cider-conform)");
         print!("{}", run_engine(&cfg).render(cfg.seed));
     }
-    if fleet {
+    if flag("--fleet") {
         println!("\n## Fleet simulation (cider-fleet)");
         let dir = Path::new("target").join("trace");
         if let Err(e) = fs::create_dir_all(&dir) {
@@ -259,4 +302,5 @@ fn main() {
         }
         print_fleet(&dir);
     }
+    ExitCode::SUCCESS
 }

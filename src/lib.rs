@@ -23,6 +23,10 @@
 //!   Launcher, CiderPress;
 //! * [`cider_bench`] — the Figure 5 / Figure 6 harnesses and ablations.
 //!
+//! Its own module, [`artifacts`], lists every checked-in artifact
+//! with the function that renders it; `cider-report --regen`
+//! regenerates them all.
+//!
 //! # Example
 //!
 //! ```
@@ -34,6 +38,8 @@
 //!     "/System/Library/Frameworks/UIKit.framework/UIKit"
 //! ));
 //! ```
+
+pub mod artifacts;
 
 pub use cider_abi;
 pub use cider_apps;

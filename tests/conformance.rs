@@ -86,8 +86,7 @@ fn default_seed_regenerates_the_checked_in_corpus() {
             entry.serialize(),
             want,
             "{} drifted from the checked-in corpus; regenerate with \
-             `cargo run -p cider-conform --bin cider-conform -- \
-             --seed 7 --programs 200 --write-corpus tests/corpus`",
+             `cargo run --release --bin cider-report -- --regen`",
             entry.name
         );
     }

@@ -1,43 +1,28 @@
 //! Golden-snapshot tests for the evaluation tables: the rendered
-//! Figure 5 and Figure 6 output is pinned byte-for-byte under
-//! `tests/golden/`. The virtual clock makes both tables fully
+//! Figure 5, Figure 6 and app-scenario output is pinned byte-for-byte
+//! under `tests/golden/`. The virtual clock makes every table fully
 //! deterministic, so any drift is a real behaviour change — either a
 //! deliberate model change (regenerate the snapshots) or a regression.
 //!
 //! Regenerate with:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test --test golden_tables
+//! cargo run --release --bin cider-report -- --regen
 //! ```
 
 use std::fs;
 use std::path::PathBuf;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
 fn check(name: &str, got: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nregenerate with UPDATE_GOLDEN=1 cargo test \
-             --test golden_tables",
-            path.display()
-        )
-    });
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let want = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     assert_eq!(
         got, want,
         "{name} drifted from its golden snapshot; if the change is \
-         intended, regenerate with UPDATE_GOLDEN=1 cargo test --test \
-         golden_tables"
+         intended, regenerate with `cider-report --regen`"
     );
 }
 

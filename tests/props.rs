@@ -515,6 +515,181 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
+// Truncation: every strict prefix of a valid encoding fails with its
+// format's own error (the errno user space sees), never another one.
+// ----------------------------------------------------------------------
+
+use cider_abi::errno::Errno;
+use cider_core::ring::{RingCompletion, RingOp};
+use cider_xnu::ipc::ReceivedMessage;
+use cider_xnu::kern_return::KernReturn;
+
+/// Asserts that `decode` fails with exactly `want` on every strict
+/// prefix of `bytes`.
+fn assert_prefixes_fail<T: std::fmt::Debug, E: std::fmt::Debug + PartialEq>(
+    what: &str,
+    bytes: &[u8],
+    want: E,
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) {
+    for cut in 0..bytes.len() {
+        match decode(&bytes[..cut]) {
+            Err(e) => assert_eq!(e, want, "{what}: cut {cut}"),
+            Ok(v) => panic!("{what}: cut {cut} decoded to {v:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn truncated_mach_wire_and_dex_keep_their_errors(
+        msg in user_message_strategy(),
+        prog in prop::collection::vec(insn_strategy(), 1..16),
+    ) {
+        let user = wire::encode_user_message(&msg);
+        assert_prefixes_fail("user msg", &user, Errno::EFAULT, |b| {
+            wire::decode_user_message(b)
+        });
+        let received = ReceivedMessage {
+            msg_id: msg.msg_id,
+            body: msg.body.clone(),
+            reply_port: msg.remote_port,
+            ports: msg.ports.iter().map(|p| p.name).collect(),
+            ool: msg.ool.clone(),
+        };
+        let bytes = wire::encode_received_message(&received);
+        assert_prefixes_fail("received msg", &bytes, Errno::EFAULT, |b| {
+            wire::decode_received_message(b)
+        });
+        let ops = vec![RingOp::Send(msg.clone()), RingOp::Recv(PortName(7))];
+        let bytes = wire::encode_ring_ops(&ops);
+        assert_prefixes_fail("ring ops", &bytes, Errno::EFAULT, |b| {
+            wire::decode_ring_ops(b)
+        });
+        let cs = vec![
+            RingCompletion {
+                seq: u64::MAX,
+                kr: KernReturn::Success,
+                received: Some(received),
+            },
+            RingCompletion {
+                seq: 1,
+                kr: KernReturn::RcvTimedOut,
+                received: None,
+            },
+        ];
+        let bytes = wire::encode_ring_completions(&cs);
+        assert_prefixes_fail("ring completions", &bytes, Errno::EFAULT, |b| {
+            wire::decode_ring_completions(b)
+        });
+        let dex = assemble(&prog);
+        assert_prefixes_fail("dex", &dex, Errno::ENOEXEC, disassemble);
+    }
+}
+
+#[test]
+fn truncated_fixed_samples_keep_their_errors() {
+    use cider_ckpt::{Checkpoint, CkptError, CkptHeader, StateImage};
+    use cider_input::events::{
+        decode, decode_ios, encode, encode_ios, MotionAction, Pointer,
+    };
+    use cider_input::{translate, AndroidEvent};
+    use cider_loader::macho::LoadCommand;
+    use cider_loader::{ElfBuilder, MachOBuilder};
+
+    let mut macho = MachOBuilder::executable("main")
+        .depends_on("/usr/lib/libSystem.B.dylib")
+        .encrypted()
+        .build();
+    macho.commands.push(LoadCommand::Uuid { uuid: [7; 16] });
+    assert_prefixes_fail("mach-o", &macho.to_bytes(), Errno::ENOEXEC, |b| {
+        MachO::parse(b)
+    });
+    let elf = ElfBuilder::executable("hello").needs("libc.so").build();
+    assert_prefixes_fail("elf", &elf.to_bytes(), Errno::ENOEXEC, |b| {
+        Elf::parse(b)
+    });
+    let ipa = cider_apps::build_ios_app("com.x.calc", "Calc", "m", true);
+    assert_prefixes_fail("ipa", &ipa.to_bytes(), Errno::EINVAL, |b| {
+        cider_apps::Ipa::parse(b)
+    });
+
+    let events = [
+        AndroidEvent::Motion {
+            action: MotionAction::PointerDown,
+            pointers: vec![
+                Pointer {
+                    id: 0,
+                    x: 10,
+                    y: -20,
+                },
+                Pointer {
+                    id: 1,
+                    x: 300,
+                    y: 400,
+                },
+            ],
+            time_ns: 99,
+        },
+        AndroidEvent::Accelerometer {
+            x: -1,
+            y: 2,
+            z: 1000,
+            time_ns: 5,
+        },
+        AndroidEvent::Key {
+            code: 24,
+            down: true,
+            time_ns: 7,
+        },
+    ];
+    for ev in &events {
+        let frame = encode(ev);
+        for cut in 0..frame.len() {
+            assert_eq!(decode(&frame[..cut]), Ok(None), "frame cut {cut}");
+        }
+        let body = encode_ios(&translate(ev));
+        assert_prefixes_fail("hid body", &body, Errno::EINVAL, decode_ios);
+    }
+
+    let mut image = StateImage::new();
+    image.push_section("clock", vec![("now_ns".into(), "812".into())]);
+    image.push_section("sched", Vec::new());
+    let ckpt = Checkpoint::new(
+        CkptHeader {
+            device_id: 3,
+            seed: 0xFEED,
+            config: "cider_ios".into(),
+            workload: "lmbench_mix".into(),
+            cursor: 17,
+            virtual_ns: 812,
+        },
+        image.clone(),
+    );
+    let frame = ckpt.to_bytes();
+    // The fixed frame floor: magic, version, device id, seed, two
+    // empty strings, cursor, virtual ns, empty image, checksum.
+    let floor = 56;
+    for cut in 0..frame.len() {
+        let err = Checkpoint::from_bytes(&frame[..cut]).unwrap_err();
+        if cut < floor {
+            assert_eq!(err, CkptError::Truncated, "ckpt cut {cut}");
+        } else {
+            assert!(
+                matches!(err, CkptError::ChecksumMismatch { .. }),
+                "ckpt cut {cut}: {err:?}"
+            );
+        }
+    }
+    let bytes = image.to_bytes();
+    for cut in 0..bytes.len() {
+        assert_eq!(StateImage::from_bytes(&bytes[..cut]), None, "cut {cut}");
+    }
+}
+
+// ----------------------------------------------------------------------
 // Tracing is virtually free: enabling the trace subsystem must not
 // change a single virtual-time measurement or syscall result.
 // ----------------------------------------------------------------------

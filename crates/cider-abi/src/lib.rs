@@ -9,8 +9,9 @@
 //! kernels.
 //!
 //! Nothing in this crate performs any work; it is pure data and conversion
-//! logic plus the one stable content hash ([`hash`]), exhaustively
-//! unit-tested, on which the kernel simulator
+//! logic plus the one little-endian byte codec ([`bytes`]) and the one
+//! stable content hash ([`hash`]), exhaustively unit-tested, on which the
+//! kernel simulator
 //! (`cider-kernel`), the foreign kernel corpus (`cider-xnu`) and the Cider
 //! architecture itself (`cider-core`) are built.
 //!
@@ -27,6 +28,7 @@
 //! assert!(Persona::Foreign.is_foreign());
 //! ```
 
+pub mod bytes;
 pub mod convention;
 pub mod errno;
 pub mod hash;

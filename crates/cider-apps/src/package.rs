@@ -9,6 +9,7 @@
 //! requires a [`DeviceKey`] (only obtainable from a jailbroken Apple
 //! device) and rewrites the Mach-O with `cryptid = 0`.
 
+use cider_abi::bytes::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 use cider_loader::framework_set::FrameworkSet;
 use cider_loader::macho::{LoadCommand, MachO, MachOBuilder};
@@ -38,25 +39,18 @@ impl Ipa {
 
     /// Serialises the package.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"IPA1");
-        for field in [
-            self.bundle_id.as_bytes(),
-            self.name.as_bytes(),
-            &self.binary,
-            &self.icon,
-        ] {
-            out.extend_from_slice(&(field.len() as u32).to_le_bytes());
-            out.extend_from_slice(field);
-        }
-        out.extend_from_slice(&(self.data_files.len() as u32).to_le_bytes());
+        let mut w = ByteWriter::new();
+        w.put_raw(b"IPA1");
+        w.put_str(&self.bundle_id);
+        w.put_str(&self.name);
+        w.put_bytes(&self.binary);
+        w.put_bytes(&self.icon);
+        w.put_u32(self.data_files.len() as u32);
         for (path, data) in &self.data_files {
-            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            out.extend_from_slice(path.as_bytes());
-            out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-            out.extend_from_slice(data);
+            w.put_str(path);
+            w.put_bytes(data);
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses a serialised package.
@@ -65,47 +59,21 @@ impl Ipa {
     ///
     /// `EINVAL` for malformed packages.
     pub fn parse(bytes: &[u8]) -> Result<Ipa, Errno> {
-        if bytes.len() < 4 || &bytes[..4] != b"IPA1" {
+        let mut r = ByteReader::new(bytes, Errno::EINVAL);
+        if r.raw(4)? != b"IPA1" {
             return Err(Errno::EINVAL);
         }
-        let mut pos = 4;
-        let blob = |pos: &mut usize| -> Result<Vec<u8>, Errno> {
-            if *pos + 4 > bytes.len() {
-                return Err(Errno::EINVAL);
-            }
-            let len = u32::from_le_bytes(
-                bytes[*pos..*pos + 4].try_into().expect("len"),
-            ) as usize;
-            *pos += 4;
-            if *pos + len > bytes.len() {
-                return Err(Errno::EINVAL);
-            }
-            let b = bytes[*pos..*pos + len].to_vec();
-            *pos += len;
-            Ok(b)
-        };
-        let bundle_id =
-            String::from_utf8(blob(&mut pos)?).map_err(|_| Errno::EINVAL)?;
-        let name =
-            String::from_utf8(blob(&mut pos)?).map_err(|_| Errno::EINVAL)?;
-        let binary = blob(&mut pos)?;
-        let icon = blob(&mut pos)?;
-        if pos + 4 > bytes.len() {
-            return Err(Errno::EINVAL);
-        }
-        let nfiles =
-            u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len"))
-                as usize;
-        pos += 4;
+        let bundle_id = r.str()?;
+        let name = r.str()?;
+        let binary = r.bytes()?.to_vec();
+        let icon = r.bytes()?.to_vec();
+        let nfiles = r.u32()? as usize;
         if nfiles > 4096 {
             return Err(Errno::EINVAL);
         }
         let mut data_files = Vec::with_capacity(nfiles);
         for _ in 0..nfiles {
-            let path = String::from_utf8(blob(&mut pos)?)
-                .map_err(|_| Errno::EINVAL)?;
-            let data = blob(&mut pos)?;
-            data_files.push((path, data));
+            data_files.push((r.str()?, r.bytes()?.to_vec()));
         }
         Ok(Ipa {
             bundle_id,

@@ -12,9 +12,10 @@
 
 use std::fmt;
 
+use cider_abi::bytes::{ByteReader, ByteWriter};
 use cider_abi::hash::fnv1a;
 
-use crate::wire::{ByteReader, ByteWriter};
+use crate::checkpoint::CkptError;
 
 /// One named section of the image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +61,8 @@ impl StateImage {
         self.sections.iter().map(|s| s.records.len()).sum()
     }
 
-    /// Encodes the image with the crate wire format.
+    /// Encodes the image: a `u32` section count, then per section its
+    /// name, a `u32` record count and each record's key and value.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         self.encode_into(&mut w);
@@ -80,36 +82,38 @@ impl StateImage {
         }
     }
 
-    /// Decodes an image; `None` on truncation or malformed UTF-8.
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Option<StateImage> {
-        let n_sections = r.get_u32()? as usize;
-        // A section header costs at least 8 bytes; reject counts the
-        // remaining bytes cannot possibly hold instead of allocating.
-        if n_sections > r.remaining() / 8 + 1 {
-            return None;
-        }
+    /// Decodes an image; [`CkptError::Malformed`] on truncation or
+    /// malformed UTF-8.
+    pub fn decode_from(
+        r: &mut ByteReader<'_, CkptError>,
+    ) -> Result<StateImage, CkptError> {
+        // A section header or record costs at least 8 bytes; reject
+        // counts the remaining bytes cannot hold instead of allocating.
+        let count = |r: &mut ByteReader<'_, CkptError>| {
+            let n = r.u32()? as usize;
+            if n > r.remaining() / 8 + 1 {
+                return Err(CkptError::Malformed);
+            }
+            Ok(n)
+        };
+        let n_sections = count(r)?;
         let mut sections = Vec::with_capacity(n_sections);
         for _ in 0..n_sections {
-            let name = r.get_str()?;
-            let n_records = r.get_u32()? as usize;
-            if n_records > r.remaining() / 8 + 1 {
-                return None;
-            }
+            let name = r.str()?;
+            let n_records = count(r)?;
             let mut records = Vec::with_capacity(n_records);
             for _ in 0..n_records {
-                let k = r.get_str()?;
-                let v = r.get_str()?;
-                records.push((k, v));
+                records.push((r.str()?, r.str()?));
             }
             sections.push(Section { name, records });
         }
-        Some(StateImage { sections })
+        Ok(StateImage { sections })
     }
 
     /// Decodes from a standalone byte buffer.
     pub fn from_bytes(bytes: &[u8]) -> Option<StateImage> {
-        let mut r = ByteReader::new(bytes);
-        let img = StateImage::decode_from(&mut r)?;
+        let mut r = ByteReader::new(bytes, CkptError::Malformed);
+        let img = StateImage::decode_from(&mut r).ok()?;
         (r.remaining() == 0).then_some(img)
     }
 

@@ -6,12 +6,10 @@
 //! shards and across crashes. This crate is the data layer that makes
 //! a whole simulated device a *value*:
 //!
-//! * [`wire`] — the little-endian, length-prefixed byte encoding every
-//!   other module builds on. No serde, no external dependencies: the
-//!   format is part of this crate's stable surface.
 //! * [`image`] — [`StateImage`]: the full observable device state as
 //!   ordered named sections of `(key, value)` records, byte-stable by
-//!   construction, diffable section-by-section ([`SectionDelta`]).
+//!   construction, diffable section-by-section ([`SectionDelta`]),
+//!   encoded with the [`cider_abi::bytes`] codec.
 //! * [`checkpoint`] — [`Checkpoint`]: a versioned header (device
 //!   identity, workload cursor, virtual timestamp) plus a
 //!   [`StateImage`], framed with a magic, a format version, and a
@@ -44,7 +42,6 @@ pub mod capture;
 pub mod checkpoint;
 pub mod image;
 pub mod store;
-pub mod wire;
 
 pub use capture::capture_kernel;
 pub use checkpoint::{Checkpoint, CkptError, CkptHeader, CKPT_VERSION};

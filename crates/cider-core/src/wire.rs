@@ -6,6 +6,7 @@
 //! writes into the caller's buffer).
 
 use bytes::Bytes;
+use cider_abi::bytes::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 use cider_abi::ids::PortName;
 use cider_xnu::ipc::{
@@ -38,60 +39,62 @@ fn disp_from_u8(v: u8) -> Option<PortDisposition> {
     })
 }
 
-struct Cursor<'a> {
-    b: &'a [u8],
-    pos: usize,
+/// A trap buffer reader: truncation is `EFAULT`, as for any short
+/// user-space buffer.
+fn reader(bytes: &[u8]) -> ByteReader<'_, Errno> {
+    ByteReader::new(bytes, Errno::EFAULT)
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], Errno> {
-        if self.pos + n > self.b.len() {
-            return Err(Errno::EFAULT);
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+/// Reads a length-prefixed blob; anything over 16 MiB is `EMSGSIZE`.
+fn blob<'a>(r: &mut ByteReader<'a, Errno>) -> Result<&'a [u8], Errno> {
+    let len = r.u32()? as usize;
+    if len > 16 * 1024 * 1024 {
+        return Err(Errno::EMSGSIZE);
     }
-    fn u8(&mut self) -> Result<u8, Errno> {
-        Ok(self.take(1)?[0])
+    r.raw(len)
+}
+
+/// Reads a descriptor or OOL count; more than 64 is `EMSGSIZE`.
+fn count(r: &mut ByteReader<'_, Errno>) -> Result<usize, Errno> {
+    let n = r.u32()?;
+    if n > 64 {
+        return Err(Errno::EMSGSIZE);
     }
-    fn u32(&mut self) -> Result<u32, Errno> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    Ok(n as usize)
+}
+
+fn put_ool(w: &mut ByteWriter, ool: &[Bytes]) {
+    w.put_u32(ool.len() as u32);
+    for o in ool {
+        w.put_bytes(o);
     }
-    fn i32(&mut self) -> Result<i32, Errno> {
-        Ok(self.u32()? as i32)
+}
+
+fn ool(r: &mut ByteReader<'_, Errno>) -> Result<Vec<Bytes>, Errno> {
+    let n = count(r)?;
+    let mut ool = Vec::with_capacity(n);
+    for _ in 0..n {
+        ool.push(Bytes::copy_from_slice(blob(r)?));
     }
-    fn blob(&mut self) -> Result<Vec<u8>, Errno> {
-        let len = self.u32()? as usize;
-        if len > 16 * 1024 * 1024 {
-            return Err(Errno::EMSGSIZE);
-        }
-        Ok(self.take(len)?.to_vec())
-    }
+    Ok(ool)
 }
 
 /// Encodes a user message into its trap buffer form.
 pub fn encode_user_message(m: &UserMessage) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + m.body.len());
-    out.extend_from_slice(&m.remote_port.as_raw().to_le_bytes());
-    out.push(disp_to_u8(m.remote_disposition));
-    out.extend_from_slice(&m.local_port.as_raw().to_le_bytes());
-    out.push(disp_to_u8(m.local_disposition));
-    out.extend_from_slice(&m.msg_id.to_le_bytes());
-    out.extend_from_slice(&(m.body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&m.body);
-    out.extend_from_slice(&(m.ports.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::with_capacity(64 + m.body.len());
+    w.put_u32(m.remote_port.as_raw());
+    w.put_u8(disp_to_u8(m.remote_disposition));
+    w.put_u32(m.local_port.as_raw());
+    w.put_u8(disp_to_u8(m.local_disposition));
+    w.put_i32(m.msg_id);
+    w.put_bytes(&m.body);
+    w.put_u32(m.ports.len() as u32);
     for p in &m.ports {
-        out.extend_from_slice(&p.name.as_raw().to_le_bytes());
-        out.push(disp_to_u8(p.disposition));
+        w.put_u32(p.name.as_raw());
+        w.put_u8(disp_to_u8(p.disposition));
     }
-    out.extend_from_slice(&(m.ool.len() as u32).to_le_bytes());
-    for o in &m.ool {
-        out.extend_from_slice(&(o.len() as u32).to_le_bytes());
-        out.extend_from_slice(o);
-    }
-    out
+    put_ool(&mut w, &m.ool);
+    w.into_bytes()
 }
 
 /// Decodes a trap buffer back into a user message.
@@ -101,30 +104,23 @@ pub fn encode_user_message(m: &UserMessage) -> Vec<u8> {
 /// `EFAULT` on truncation, `EINVAL` on bad dispositions, `EMSGSIZE` on
 /// absurd lengths.
 pub fn decode_user_message(bytes: &[u8]) -> Result<UserMessage, Errno> {
-    let mut c = Cursor { b: bytes, pos: 0 };
-    let remote_port = PortName(c.u32()?);
-    let remote_disposition = disp_from_u8(c.u8()?).ok_or(Errno::EINVAL)?;
-    let local_port = PortName(c.u32()?);
-    let local_disposition = disp_from_u8(c.u8()?).ok_or(Errno::EINVAL)?;
-    let msg_id = c.i32()?;
-    let body = Bytes::from(c.blob()?);
-    let nports = c.u32()?;
-    if nports > 64 {
-        return Err(Errno::EMSGSIZE);
-    }
-    let mut ports = Vec::with_capacity(nports as usize);
+    let mut r = reader(bytes);
+    let r = &mut r;
+    let disp = |r: &mut ByteReader<'_, Errno>| {
+        disp_from_u8(r.u8()?).ok_or(Errno::EINVAL)
+    };
+    let remote_port = PortName(r.u32()?);
+    let remote_disposition = disp(r)?;
+    let local_port = PortName(r.u32()?);
+    let local_disposition = disp(r)?;
+    let msg_id = r.i32()?;
+    let body = Bytes::copy_from_slice(blob(r)?);
+    let nports = count(r)?;
+    let mut ports = Vec::with_capacity(nports);
     for _ in 0..nports {
-        let name = PortName(c.u32()?);
-        let disposition = disp_from_u8(c.u8()?).ok_or(Errno::EINVAL)?;
+        let name = PortName(r.u32()?);
+        let disposition = disp(r)?;
         ports.push(PortDescriptor { name, disposition });
-    }
-    let nool = c.u32()?;
-    if nool > 64 {
-        return Err(Errno::EMSGSIZE);
-    }
-    let mut ool = Vec::with_capacity(nool as usize);
-    for _ in 0..nool {
-        ool.push(Bytes::from(c.blob()?));
     }
     Ok(UserMessage {
         remote_port,
@@ -134,27 +130,22 @@ pub fn decode_user_message(bytes: &[u8]) -> Result<UserMessage, Errno> {
         msg_id,
         body,
         ports,
-        ool,
+        ool: ool(r)?,
     })
 }
 
 /// Encodes a received message into the caller's buffer form.
 pub fn encode_received_message(m: &ReceivedMessage) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + m.body.len());
-    out.extend_from_slice(&m.msg_id.to_le_bytes());
-    out.extend_from_slice(&m.reply_port.as_raw().to_le_bytes());
-    out.extend_from_slice(&(m.body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&m.body);
-    out.extend_from_slice(&(m.ports.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::with_capacity(32 + m.body.len());
+    w.put_i32(m.msg_id);
+    w.put_u32(m.reply_port.as_raw());
+    w.put_bytes(&m.body);
+    w.put_u32(m.ports.len() as u32);
     for p in &m.ports {
-        out.extend_from_slice(&p.as_raw().to_le_bytes());
+        w.put_u32(p.as_raw());
     }
-    out.extend_from_slice(&(m.ool.len() as u32).to_le_bytes());
-    for o in &m.ool {
-        out.extend_from_slice(&(o.len() as u32).to_le_bytes());
-        out.extend_from_slice(o);
-    }
-    out
+    put_ool(&mut w, &m.ool);
+    w.into_bytes()
 }
 
 /// Decodes a received-message buffer (used by user-space stand-ins).
@@ -165,55 +156,43 @@ pub fn encode_received_message(m: &ReceivedMessage) -> Vec<u8> {
 pub fn decode_received_message(
     bytes: &[u8],
 ) -> Result<ReceivedMessage, Errno> {
-    let mut c = Cursor { b: bytes, pos: 0 };
-    let msg_id = c.i32()?;
-    let reply_port = PortName(c.u32()?);
-    let body = Bytes::from(c.blob()?);
-    let nports = c.u32()?;
-    if nports > 64 {
-        return Err(Errno::EMSGSIZE);
-    }
-    let mut ports = Vec::with_capacity(nports as usize);
+    let mut r = reader(bytes);
+    let r = &mut r;
+    let msg_id = r.i32()?;
+    let reply_port = PortName(r.u32()?);
+    let body = Bytes::copy_from_slice(blob(r)?);
+    let nports = count(r)?;
+    let mut ports = Vec::with_capacity(nports);
     for _ in 0..nports {
-        ports.push(PortName(c.u32()?));
-    }
-    let nool = c.u32()?;
-    if nool > 64 {
-        return Err(Errno::EMSGSIZE);
-    }
-    let mut ool = Vec::with_capacity(nool as usize);
-    for _ in 0..nool {
-        ool.push(Bytes::from(c.blob()?));
+        ports.push(PortName(r.u32()?));
     }
     Ok(ReceivedMessage {
         msg_id,
         body,
         reply_port,
         ports,
-        ool,
+        ool: ool(r)?,
     })
 }
 
 /// Encodes a batch of ring submissions into the `ring_submit` trap
 /// buffer form.
 pub fn encode_ring_ops(ops: &[RingOp]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 16 * ops.len());
-    out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::with_capacity(8 + 16 * ops.len());
+    w.put_u32(ops.len() as u32);
     for op in ops {
         match op {
             RingOp::Send(m) => {
-                out.push(1);
-                let msg = encode_user_message(m);
-                out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-                out.extend_from_slice(&msg);
+                w.put_u8(1);
+                w.put_bytes(&encode_user_message(m));
             }
             RingOp::Recv(name) => {
-                out.push(2);
-                out.extend_from_slice(&name.as_raw().to_le_bytes());
+                w.put_u8(2);
+                w.put_u32(name.as_raw());
             }
         }
     }
-    out
+    w.into_bytes()
 }
 
 /// Decodes a `ring_submit` trap buffer back into ring submissions.
@@ -223,19 +202,16 @@ pub fn encode_ring_ops(ops: &[RingOp]) -> Vec<u8> {
 /// `EFAULT` on truncation, `EINVAL` on unknown tags, `EMSGSIZE` on
 /// absurd batch sizes.
 pub fn decode_ring_ops(bytes: &[u8]) -> Result<Vec<RingOp>, Errno> {
-    let mut c = Cursor { b: bytes, pos: 0 };
-    let n = c.u32()?;
+    let mut r = reader(bytes);
+    let n = r.u32()?;
     if n as usize > 4 * crate::ring::RING_CAPACITY {
         return Err(Errno::EMSGSIZE);
     }
     let mut ops = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        match c.u8()? {
-            1 => {
-                let blob = c.blob()?;
-                ops.push(RingOp::Send(decode_user_message(&blob)?));
-            }
-            2 => ops.push(RingOp::Recv(PortName(c.u32()?))),
+        match r.u8()? {
+            1 => ops.push(RingOp::Send(decode_user_message(blob(&mut r)?)?)),
+            2 => ops.push(RingOp::Recv(PortName(r.u32()?))),
             _ => return Err(Errno::EINVAL),
         }
     }
@@ -245,22 +221,20 @@ pub fn decode_ring_ops(bytes: &[u8]) -> Result<Vec<RingOp>, Errno> {
 /// Encodes a batch of ring completions into the `ring_flush` result
 /// buffer form.
 pub fn encode_ring_completions(cs: &[RingCompletion]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 16 * cs.len());
-    out.extend_from_slice(&(cs.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::with_capacity(8 + 16 * cs.len());
+    w.put_u32(cs.len() as u32);
     for c in cs {
-        out.extend_from_slice(&c.seq.to_le_bytes());
-        out.extend_from_slice(&(c.kr.as_raw() as i32).to_le_bytes());
+        w.put_u64(c.seq);
+        w.put_i32(c.kr.as_raw() as i32);
         match &c.received {
             Some(m) => {
-                out.push(1);
-                let msg = encode_received_message(m);
-                out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-                out.extend_from_slice(&msg);
+                w.put_u8(1);
+                w.put_bytes(&encode_received_message(m));
             }
-            None => out.push(0),
+            None => w.put_u8(0),
         }
     }
-    out
+    w.into_bytes()
 }
 
 /// Decodes a `ring_flush` result buffer back into completions (used by
@@ -272,24 +246,18 @@ pub fn encode_ring_completions(cs: &[RingCompletion]) -> Vec<u8> {
 pub fn decode_ring_completions(
     bytes: &[u8],
 ) -> Result<Vec<RingCompletion>, Errno> {
-    let mut c = Cursor { b: bytes, pos: 0 };
-    let n = c.u32()?;
+    let mut r = reader(bytes);
+    let n = r.u32()?;
     if n > 4096 {
         return Err(Errno::EMSGSIZE);
     }
     let mut out = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        let seq = {
-            let b = c.take(8)?;
-            u64::from_le_bytes(b.try_into().expect("8-byte slice"))
-        };
-        let kr = KernReturn::from_raw(c.i32()? as i64).ok_or(Errno::EINVAL)?;
-        let received = match c.u8()? {
+        let seq = r.u64()?;
+        let kr = KernReturn::from_raw(r.i32()? as i64).ok_or(Errno::EINVAL)?;
+        let received = match r.u8()? {
             0 => None,
-            1 => {
-                let blob = c.blob()?;
-                Some(decode_received_message(&blob)?)
-            }
+            1 => Some(decode_received_message(blob(&mut r)?)?),
             _ => return Err(Errno::EINVAL),
         };
         out.push(RingCompletion { seq, kr, received });

@@ -13,6 +13,7 @@
 //! `stat64` layout) onto the domestic implementations, and the exit path
 //! encodes errors in the carry flag with BSD errno numbering.
 
+use cider_abi::bytes::ByteWriter;
 use cider_abi::convention::{CpuFlags, SyscallOutcome};
 use cider_abi::errno::Errno;
 use cider_abi::ids::{Fd, Pid, PortName, Tid};
@@ -85,17 +86,17 @@ pub fn translate_open_flags(xnu: u32) -> OpenFlags {
 
 /// Serialises an [`XnuStat64`] into the byte layout iOS binaries read.
 pub fn encode_xnu_stat64(s: &XnuStat64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&s.ino.to_le_bytes());
-    out.extend_from_slice(&s.mode.to_le_bytes());
-    out.extend_from_slice(&s.nlink.to_le_bytes());
-    out.extend_from_slice(&s.size.to_le_bytes());
-    out.extend_from_slice(&s.blocks.to_le_bytes());
-    out.extend_from_slice(&s.mtimespec.sec.to_le_bytes());
-    out.extend_from_slice(&s.mtimespec.nsec.to_le_bytes());
-    out.extend_from_slice(&s.birthtimespec.sec.to_le_bytes());
-    out.extend_from_slice(&s.birthtimespec.nsec.to_le_bytes());
-    out
+    let mut w = ByteWriter::with_capacity(64);
+    w.put_u64(s.ino);
+    w.put_u32(s.mode);
+    w.put_u32(s.nlink);
+    w.put_u64(s.size);
+    w.put_u64(s.blocks);
+    for t in [s.mtimespec, s.birthtimespec] {
+        w.put_i64(t.sec);
+        w.put_i64(t.nsec);
+    }
+    w.into_bytes()
 }
 
 /// The foreign-persona kernel ABI.

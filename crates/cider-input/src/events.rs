@@ -6,6 +6,7 @@
 //! Cider "simply reads events from the Android input system, translates
 //! them as necessary into a format understood by iOS apps".
 
+use cider_abi::bytes::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 
 /// Android motion-event actions.
@@ -160,53 +161,72 @@ pub fn translate(e: &AndroidEvent) -> IosHidEvent {
 // Wire format across the CiderPress → eventpump BSD socket.
 // ----------------------------------------------------------------------
 
+/// Touch points on the wire: a `u8` count, then id, x, y per point.
+fn put_pointers(w: &mut ByteWriter, pointers: &[Pointer]) {
+    w.put_u8(pointers.len() as u8);
+    for p in pointers {
+        w.put_u8(p.id);
+        w.put_i32(p.x);
+        w.put_i32(p.y);
+    }
+}
+
+fn pointers(r: &mut ByteReader<'_, Errno>) -> Result<Vec<Pointer>, Errno> {
+    let n = r.u8()?;
+    let mut pointers = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        pointers.push(Pointer {
+            id: r.u8()?,
+            x: r.i32()?,
+            y: r.i32()?,
+        });
+    }
+    Ok(pointers)
+}
+
 /// Encodes an Android event for the bridge socket.
 pub fn encode(e: &AndroidEvent) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
+    let mut w = ByteWriter::with_capacity(32);
     match e {
         AndroidEvent::Motion {
             action,
             pointers,
             time_ns,
         } => {
-            out.push(1);
-            out.push(match action {
+            w.put_u8(1);
+            w.put_u8(match action {
                 MotionAction::Down => 0,
                 MotionAction::Move => 1,
                 MotionAction::Up => 2,
                 MotionAction::PointerDown => 3,
                 MotionAction::PointerUp => 4,
             });
-            out.extend_from_slice(&time_ns.to_le_bytes());
-            out.push(pointers.len() as u8);
-            for p in pointers {
-                out.push(p.id);
-                out.extend_from_slice(&p.x.to_le_bytes());
-                out.extend_from_slice(&p.y.to_le_bytes());
-            }
+            w.put_u64(*time_ns);
+            put_pointers(&mut w, pointers);
         }
         AndroidEvent::Accelerometer { x, y, z, time_ns } => {
-            out.push(2);
-            out.extend_from_slice(&time_ns.to_le_bytes());
-            out.extend_from_slice(&x.to_le_bytes());
-            out.extend_from_slice(&y.to_le_bytes());
-            out.extend_from_slice(&z.to_le_bytes());
+            w.put_u8(2);
+            w.put_u64(*time_ns);
+            w.put_i32(*x);
+            w.put_i32(*y);
+            w.put_i32(*z);
         }
         AndroidEvent::Key {
             code,
             down,
             time_ns,
         } => {
-            out.push(3);
-            out.extend_from_slice(&time_ns.to_le_bytes());
-            out.extend_from_slice(&code.to_le_bytes());
-            out.push(u8::from(*down));
+            w.put_u8(3);
+            w.put_u64(*time_ns);
+            w.put_u32(*code);
+            w.put_u8(u8::from(*down));
         }
     }
-    let mut framed = Vec::with_capacity(out.len() + 2);
-    framed.extend_from_slice(&(out.len() as u16).to_le_bytes());
-    framed.extend_from_slice(&out);
-    framed
+    let body = w.as_slice();
+    let mut framed = ByteWriter::with_capacity(body.len() + 2);
+    framed.put_u16(body.len() as u16);
+    framed.put_raw(body);
+    framed.into_bytes()
 }
 
 /// Decodes one framed event from the socket stream; returns the event
@@ -217,77 +237,41 @@ pub fn encode(e: &AndroidEvent) -> Vec<u8> {
 ///
 /// `EINVAL` for corrupt frames.
 pub fn decode(buf: &[u8]) -> Result<Option<(AndroidEvent, usize)>, Errno> {
-    if buf.len() < 2 {
+    let mut frame = ByteReader::new(buf, ());
+    let Ok(len) = frame.u16() else {
         return Ok(None);
-    }
-    let len = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-    if buf.len() < 2 + len {
+    };
+    let Ok(body) = frame.raw(len as usize) else {
         return Ok(None);
-    }
-    let b = &buf[2..2 + len];
-    let consumed = 2 + len;
-    let ev = match b.first() {
-        Some(1) => {
-            if b.len() < 11 {
-                return Err(Errno::EINVAL);
-            }
-            let action = match b[1] {
+    };
+    let mut r = ByteReader::new(body, Errno::EINVAL);
+    let ev = match r.u8()? {
+        1 => AndroidEvent::Motion {
+            action: match r.u8()? {
                 0 => MotionAction::Down,
                 1 => MotionAction::Move,
                 2 => MotionAction::Up,
                 3 => MotionAction::PointerDown,
                 4 => MotionAction::PointerUp,
                 _ => return Err(Errno::EINVAL),
-            };
-            let time_ns =
-                u64::from_le_bytes(b[2..10].try_into().expect("len"));
-            let n = b[10] as usize;
-            if b.len() < 11 + n * 9 {
-                return Err(Errno::EINVAL);
-            }
-            let mut pointers = Vec::with_capacity(n);
-            for i in 0..n {
-                let off = 11 + i * 9;
-                pointers.push(Pointer {
-                    id: b[off],
-                    x: i32::from_le_bytes(
-                        b[off + 1..off + 5].try_into().expect("len"),
-                    ),
-                    y: i32::from_le_bytes(
-                        b[off + 5..off + 9].try_into().expect("len"),
-                    ),
-                });
-            }
-            AndroidEvent::Motion {
-                action,
-                pointers,
-                time_ns,
-            }
-        }
-        Some(2) => {
-            if b.len() < 21 {
-                return Err(Errno::EINVAL);
-            }
-            AndroidEvent::Accelerometer {
-                time_ns: u64::from_le_bytes(b[1..9].try_into().expect("len")),
-                x: i32::from_le_bytes(b[9..13].try_into().expect("len")),
-                y: i32::from_le_bytes(b[13..17].try_into().expect("len")),
-                z: i32::from_le_bytes(b[17..21].try_into().expect("len")),
-            }
-        }
-        Some(3) => {
-            if b.len() < 14 {
-                return Err(Errno::EINVAL);
-            }
-            AndroidEvent::Key {
-                time_ns: u64::from_le_bytes(b[1..9].try_into().expect("len")),
-                code: u32::from_le_bytes(b[9..13].try_into().expect("len")),
-                down: b[13] != 0,
-            }
-        }
+            },
+            time_ns: r.u64()?,
+            pointers: pointers(&mut r)?,
+        },
+        2 => AndroidEvent::Accelerometer {
+            time_ns: r.u64()?,
+            x: r.i32()?,
+            y: r.i32()?,
+            z: r.i32()?,
+        },
+        3 => AndroidEvent::Key {
+            time_ns: r.u64()?,
+            code: r.u32()?,
+            down: r.u8()? != 0,
+        },
         _ => return Err(Errno::EINVAL),
     };
-    Ok(Some((ev, consumed)))
+    Ok(Some((ev, 2 + body.len())))
 }
 
 // ----------------------------------------------------------------------
@@ -297,46 +281,41 @@ pub fn decode(buf: &[u8]) -> Result<Option<(AndroidEvent, usize)>, Errno> {
 
 /// Encodes an iOS HID event into a Mach message body.
 pub fn encode_ios(e: &IosHidEvent) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
+    let mut w = ByteWriter::with_capacity(32);
     match e {
         IosHidEvent::Touch {
             phase,
             touches,
             timestamp,
         } => {
-            out.push(1);
-            out.push(match phase {
+            w.put_u8(1);
+            w.put_u8(match phase {
                 TouchPhase::Began => 0,
                 TouchPhase::Moved => 1,
                 TouchPhase::Ended => 2,
             });
-            out.extend_from_slice(&timestamp.to_le_bytes());
-            out.push(touches.len() as u8);
-            for p in touches {
-                out.push(p.id);
-                out.extend_from_slice(&p.x.to_le_bytes());
-                out.extend_from_slice(&p.y.to_le_bytes());
-            }
+            w.put_u64(*timestamp);
+            put_pointers(&mut w, touches);
         }
         IosHidEvent::Accelerometer { x, y, z, timestamp } => {
-            out.push(2);
-            out.extend_from_slice(&timestamp.to_le_bytes());
-            out.extend_from_slice(&x.to_le_bytes());
-            out.extend_from_slice(&y.to_le_bytes());
-            out.extend_from_slice(&z.to_le_bytes());
+            w.put_u8(2);
+            w.put_u64(*timestamp);
+            w.put_i64(*x);
+            w.put_i64(*y);
+            w.put_i64(*z);
         }
         IosHidEvent::Button {
             usage,
             down,
             timestamp,
         } => {
-            out.push(3);
-            out.extend_from_slice(&timestamp.to_le_bytes());
-            out.extend_from_slice(&usage.to_le_bytes());
-            out.push(u8::from(*down));
+            w.put_u8(3);
+            w.put_u64(*timestamp);
+            w.put_u32(*usage);
+            w.put_u8(u8::from(*down));
         }
     }
-    out
+    w.into_bytes()
 }
 
 /// Decodes an iOS HID event from a Mach message body.
@@ -345,69 +324,31 @@ pub fn encode_ios(e: &IosHidEvent) -> Vec<u8> {
 ///
 /// `EINVAL` for corrupt bodies.
 pub fn decode_ios(b: &[u8]) -> Result<IosHidEvent, Errno> {
-    match b.first() {
-        Some(1) => {
-            if b.len() < 11 {
-                return Err(Errno::EINVAL);
-            }
-            let phase = match b[1] {
+    let mut r = ByteReader::new(b, Errno::EINVAL);
+    Ok(match r.u8()? {
+        1 => IosHidEvent::Touch {
+            phase: match r.u8()? {
                 0 => TouchPhase::Began,
                 1 => TouchPhase::Moved,
                 2 => TouchPhase::Ended,
                 _ => return Err(Errno::EINVAL),
-            };
-            let timestamp =
-                u64::from_le_bytes(b[2..10].try_into().expect("len"));
-            let n = b[10] as usize;
-            if b.len() < 11 + n * 9 {
-                return Err(Errno::EINVAL);
-            }
-            let mut touches = Vec::with_capacity(n);
-            for i in 0..n {
-                let off = 11 + i * 9;
-                touches.push(Pointer {
-                    id: b[off],
-                    x: i32::from_le_bytes(
-                        b[off + 1..off + 5].try_into().expect("len"),
-                    ),
-                    y: i32::from_le_bytes(
-                        b[off + 5..off + 9].try_into().expect("len"),
-                    ),
-                });
-            }
-            Ok(IosHidEvent::Touch {
-                phase,
-                touches,
-                timestamp,
-            })
-        }
-        Some(2) => {
-            if b.len() < 33 {
-                return Err(Errno::EINVAL);
-            }
-            Ok(IosHidEvent::Accelerometer {
-                timestamp: u64::from_le_bytes(
-                    b[1..9].try_into().expect("len"),
-                ),
-                x: i64::from_le_bytes(b[9..17].try_into().expect("len")),
-                y: i64::from_le_bytes(b[17..25].try_into().expect("len")),
-                z: i64::from_le_bytes(b[25..33].try_into().expect("len")),
-            })
-        }
-        Some(3) => {
-            if b.len() < 14 {
-                return Err(Errno::EINVAL);
-            }
-            Ok(IosHidEvent::Button {
-                timestamp: u64::from_le_bytes(
-                    b[1..9].try_into().expect("len"),
-                ),
-                usage: u32::from_le_bytes(b[9..13].try_into().expect("len")),
-                down: b[13] != 0,
-            })
-        }
-        _ => Err(Errno::EINVAL),
-    }
+            },
+            timestamp: r.u64()?,
+            touches: pointers(&mut r)?,
+        },
+        2 => IosHidEvent::Accelerometer {
+            timestamp: r.u64()?,
+            x: r.i64()?,
+            y: r.i64()?,
+            z: r.i64()?,
+        },
+        3 => IosHidEvent::Button {
+            timestamp: r.u64()?,
+            usage: r.u32()?,
+            down: r.u8()? != 0,
+        },
+        _ => return Err(Errno::EINVAL),
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! The simulated ELF container format (domestic binaries).
 
+use cider_abi::bytes::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 
-use crate::macho::Reader;
+use crate::macho::load_str;
 
 /// ELF magic bytes.
 pub const ELF_MAGIC: [u8; 4] = [0x7f, b'E', b'L', b'F'];
@@ -69,35 +70,33 @@ impl Elf {
 
     /// Serialises to the simulator's on-disk representation.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&ELF_MAGIC);
-        out.extend_from_slice(&self.machine.to_le_bytes());
-        out.extend_from_slice(&self.elf_type.as_raw().to_le_bytes());
-        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
+        let mut w = ByteWriter::new();
+        w.put_raw(&ELF_MAGIC);
+        w.put_u16(self.machine);
+        w.put_u16(self.elf_type.as_raw());
+        w.put_u32(self.segments.len() as u32);
         for s in &self.segments {
-            out.extend_from_slice(&s.memsz.to_le_bytes());
-            out.push(u8::from(s.writable));
-            out.push(u8::from(s.executable));
+            w.put_u64(s.memsz);
+            w.put_u8(u8::from(s.writable));
+            w.put_u8(u8::from(s.executable));
         }
-        out.extend_from_slice(&(self.needed.len() as u32).to_le_bytes());
+        w.put_u32(self.needed.len() as u32);
         for n in &self.needed {
-            out.extend_from_slice(&(n.len() as u32).to_le_bytes());
-            out.extend_from_slice(n.as_bytes());
+            w.put_str(n);
         }
         match &self.entry_symbol {
             Some(e) => {
-                out.push(1);
-                out.extend_from_slice(&(e.len() as u32).to_le_bytes());
-                out.extend_from_slice(e.as_bytes());
+                w.put_u8(1);
+                w.put_str(e);
             }
-            None => out.push(0),
+            None => w.put_u8(0),
         }
-        out
+        w.into_bytes()
     }
 
     /// Whether a byte slice starts with the ELF magic.
     pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.len() >= 4 && bytes[..4] == ELF_MAGIC
+        bytes.starts_with(&ELF_MAGIC)
     }
 
     /// Parses the on-disk representation.
@@ -106,13 +105,12 @@ impl Elf {
     ///
     /// `ENOEXEC` for malformed input.
     pub fn parse(bytes: &[u8]) -> Result<Elf, Errno> {
-        if !Self::sniff(bytes) {
+        let mut r = ByteReader::new(bytes, Errno::ENOEXEC);
+        if r.array()? != ELF_MAGIC {
             return Err(Errno::ENOEXEC);
         }
-        let mut r = Reader::new(&bytes[4..]);
-        let machine = r.u32_as_u16()?;
-        let elf_type =
-            ElfType::from_raw(r.u32_as_u16()?).ok_or(Errno::ENOEXEC)?;
+        let machine = r.u16()?;
+        let elf_type = ElfType::from_raw(r.u16()?).ok_or(Errno::ENOEXEC)?;
         let nseg = r.u32()?;
         if nseg > 64 {
             return Err(Errno::ENOEXEC);
@@ -131,10 +129,10 @@ impl Elf {
         }
         let mut needed = Vec::with_capacity(nneeded as usize);
         for _ in 0..nneeded {
-            needed.push(r.string()?);
+            needed.push(load_str(&mut r)?);
         }
         let entry_symbol = if r.u8()? != 0 {
-            Some(r.string()?)
+            Some(load_str(&mut r)?)
         } else {
             None
         };
@@ -145,14 +143,6 @@ impl Elf {
             needed,
             entry_symbol,
         })
-    }
-}
-
-impl Reader<'_> {
-    fn u32_as_u16(&mut self) -> Result<u16, Errno> {
-        let a = self.u8()? as u16;
-        let b = self.u8()? as u16;
-        Ok(a | (b << 8))
     }
 }
 

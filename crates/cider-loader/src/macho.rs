@@ -9,6 +9,7 @@
 //! compact binary serialisation so images can live in the simulated VFS
 //! and be parsed — and rejected — the way the kernel loader would.
 
+use cider_abi::bytes::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 
 /// `MH_MAGIC` for 32-bit ARM Mach-O.
@@ -131,11 +132,11 @@ impl MachO {
 
     /// Serialises to the simulator's on-disk representation.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        push_u32(&mut out, MH_MAGIC);
-        push_u32(&mut out, self.cpu_type);
-        push_u32(&mut out, self.filetype.as_raw());
-        push_u32(&mut out, self.commands.len() as u32);
+        let mut w = ByteWriter::new();
+        w.put_u32(MH_MAGIC);
+        w.put_u32(self.cpu_type);
+        w.put_u32(self.filetype.as_raw());
+        w.put_u32(self.commands.len() as u32);
         for cmd in &self.commands {
             match cmd {
                 LoadCommand::Segment {
@@ -144,38 +145,36 @@ impl MachO {
                     writable,
                     executable,
                 } => {
-                    push_u32(&mut out, 1);
-                    push_str(&mut out, name);
-                    push_u64(&mut out, *vmsize);
-                    out.push(u8::from(*writable));
-                    out.push(u8::from(*executable));
+                    w.put_u32(1);
+                    w.put_str(name);
+                    w.put_u64(*vmsize);
+                    w.put_u8(u8::from(*writable));
+                    w.put_u8(u8::from(*executable));
                 }
                 LoadCommand::LoadDylib { path } => {
-                    push_u32(&mut out, 12);
-                    push_str(&mut out, path);
+                    w.put_u32(12);
+                    w.put_str(path);
                 }
                 LoadCommand::Main { entry_symbol } => {
-                    push_u32(&mut out, 0x28);
-                    push_str(&mut out, entry_symbol);
+                    w.put_u32(0x28);
+                    w.put_str(entry_symbol);
                 }
                 LoadCommand::EncryptionInfo { cryptid } => {
-                    push_u32(&mut out, 0x21);
-                    push_u32(&mut out, *cryptid);
+                    w.put_u32(0x21);
+                    w.put_u32(*cryptid);
                 }
                 LoadCommand::Uuid { uuid } => {
-                    push_u32(&mut out, 0x1b);
-                    out.extend_from_slice(uuid);
+                    w.put_u32(0x1b);
+                    w.put_raw(uuid);
                 }
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Whether a byte slice starts with the Mach-O magic.
     pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.len() >= 4
-            && u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
-                == MH_MAGIC
+        ByteReader::new(bytes, ()).u32() == Ok(MH_MAGIC)
     }
 
     /// Parses the on-disk representation.
@@ -185,7 +184,7 @@ impl MachO {
     /// `ENOEXEC` for anything malformed: wrong magic, unknown file type
     /// or command, or truncation.
     pub fn parse(bytes: &[u8]) -> Result<MachO, Errno> {
-        let mut r = Reader::new(bytes);
+        let mut r = ByteReader::new(bytes, Errno::ENOEXEC);
         if r.u32()? != MH_MAGIC {
             return Err(Errno::ENOEXEC);
         }
@@ -199,17 +198,19 @@ impl MachO {
         for _ in 0..ncmds {
             let cmd = match r.u32()? {
                 1 => LoadCommand::Segment {
-                    name: r.string()?,
+                    name: load_str(&mut r)?,
                     vmsize: r.u64()?,
                     writable: r.u8()? != 0,
                     executable: r.u8()? != 0,
                 },
-                12 => LoadCommand::LoadDylib { path: r.string()? },
+                12 => LoadCommand::LoadDylib {
+                    path: load_str(&mut r)?,
+                },
                 0x28 => LoadCommand::Main {
-                    entry_symbol: r.string()?,
+                    entry_symbol: load_str(&mut r)?,
                 },
                 0x21 => LoadCommand::EncryptionInfo { cryptid: r.u32()? },
-                0x1b => LoadCommand::Uuid { uuid: r.bytes16()? },
+                0x1b => LoadCommand::Uuid { uuid: r.array()? },
                 _ => return Err(Errno::ENOEXEC),
             };
             commands.push(cmd);
@@ -220,6 +221,18 @@ impl MachO {
             commands,
         })
     }
+}
+
+/// Reads a load-command string: length-prefixed UTF-8 of at most
+/// 4 KiB, `ENOEXEC` otherwise. ELF's `DT_NEEDED` names share it.
+pub(crate) fn load_str(
+    r: &mut ByteReader<'_, Errno>,
+) -> Result<String, Errno> {
+    let len = r.u32()? as usize;
+    if len > 4096 {
+        return Err(Errno::ENOEXEC);
+    }
+    String::from_utf8(r.raw(len)?.to_vec()).map_err(|_| Errno::ENOEXEC)
 }
 
 /// Builder for test and framework images.
@@ -300,71 +313,6 @@ impl MachOBuilder {
     }
 }
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], Errno> {
-        if self.pos + n > self.bytes.len() {
-            return Err(Errno::ENOEXEC);
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, Errno> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, Errno> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, Errno> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, Errno> {
-        let len = self.u32()? as usize;
-        if len > 4096 {
-            return Err(Errno::ENOEXEC);
-        }
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| Errno::ENOEXEC)
-    }
-
-    fn bytes16(&mut self) -> Result<[u8; 16], Errno> {
-        let b = self.take(16)?;
-        let mut out = [0u8; 16];
-        out.copy_from_slice(b);
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,11 +371,10 @@ mod tests {
 
     #[test]
     fn absurd_ncmds_rejected() {
-        let mut bytes = Vec::new();
-        push_u32(&mut bytes, MH_MAGIC);
-        push_u32(&mut bytes, CPU_TYPE_ARM);
-        push_u32(&mut bytes, 2);
-        push_u32(&mut bytes, 1_000_000);
-        assert_eq!(MachO::parse(&bytes), Err(Errno::ENOEXEC));
+        let mut w = ByteWriter::new();
+        for v in [MH_MAGIC, CPU_TYPE_ARM, 2, 1_000_000] {
+            w.put_u32(v);
+        }
+        assert_eq!(MachO::parse(&w.into_bytes()), Err(Errno::ENOEXEC));
     }
 }

@@ -396,9 +396,13 @@ proptest! {
         let _ = disassemble(&bytes);
         let _ = wire::decode_user_message(&bytes);
         let _ = wire::decode_received_message(&bytes);
+        let _ = wire::decode_ring_ops(&bytes);
+        let _ = wire::decode_ring_completions(&bytes);
         let _ = cider_apps::package::Ipa::parse(&bytes);
         let _ = cider_input::events::decode(&bytes);
         let _ = cider_input::events::decode_ios(&bytes);
+        let _ = cider_ckpt::Checkpoint::from_bytes(&bytes);
+        let _ = cider_ckpt::StateImage::from_bytes(&bytes);
     }
 
     #[test]

@@ -503,7 +503,8 @@ impl CiderSystem {
     ///
     /// # Errors
     ///
-    /// Mach codes from a forced early flush.
+    /// Mach codes from a forced early flush; `NoSpace` if the ring is
+    /// still full after it.
     pub fn ring_submit(
         &mut self,
         tid: Tid,
@@ -519,9 +520,8 @@ impl CiderSystem {
         {
             early = self.ring_flush(tid)?;
         }
-        with_state(&mut self.kernel, |_, st| {
-            st.ring_mut(tid).push(op).expect("ring was just flushed");
-        });
+        with_state(&mut self.kernel, |_, st| st.ring_mut(tid).push(op))
+            .map_err(|_| KernReturn::NoSpace)?;
         Ok(early)
     }
 

@@ -836,7 +836,7 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
                 return TrapResult::ok(KernReturn::InvalidArgument.as_raw())
             }
         };
-        with_state(k, |k2, st| {
+        let kr = with_state(k, |k2, st| {
             for op in ops {
                 if st.ring_mut(tid).is_full()
                     || k2.fault_at(cider_fault::FaultSite::TrapRingOverflow)
@@ -846,10 +846,13 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
                     // some of its amortisation, never the operations.
                     st.ring_flush(k2, tid, pid);
                 }
-                st.ring_mut(tid).push(op).expect("ring was just flushed");
+                if st.ring_mut(tid).push(op).is_err() {
+                    return KernReturn::NoSpace;
+                }
             }
+            KernReturn::Success
         });
-        TrapResult::ok(KernReturn::Success.as_raw())
+        TrapResult::ok(kr.as_raw())
     })?;
 
     t.install(M::RingFlush.number(), "ring_flush", |k, tid, _| {

@@ -107,12 +107,15 @@ impl Vfs {
     }
 
     /// Installs an (initially empty) overlay tree; foreign paths are
-    /// created in and resolved from it first. Idempotent.
-    pub fn enable_overlay(&mut self) {
-        if self.root_upper.is_none() {
-            let r = self.alloc(NodeKind::Dir(BTreeMap::new()), 0o755);
-            self.root_upper = Some(r);
+    /// created in and resolved from it first. Idempotent; returns the
+    /// overlay root.
+    pub fn enable_overlay(&mut self) -> Ino {
+        if let Some(r) = self.root_upper {
+            return r;
         }
+        let r = self.alloc(NodeKind::Dir(BTreeMap::new()), 0o755);
+        self.root_upper = Some(r);
+        r
     }
 
     /// Whether the foreign overlay is mounted.
@@ -293,9 +296,8 @@ impl Vfs {
     /// Creates a directory in the *overlay* tree (enabling it if needed),
     /// used to build the iOS hierarchy.
     pub fn mkdir_p_overlay(&mut self, path: &str) -> Result<Ino, Errno> {
-        self.enable_overlay();
+        let mut cur = self.enable_overlay();
         let comps = Self::split(path)?;
-        let mut cur = self.root_upper.expect("just enabled");
         for comp in &comps {
             let existing = match &self.node(cur).kind {
                 NodeKind::Dir(entries) => entries.get(*comp).copied(),
@@ -792,7 +794,9 @@ mod tests {
     fn components_walked_counts_fallback() {
         let mut fs = Vfs::new();
         fs.mkdir_p("/x/y").unwrap();
-        fs.enable_overlay();
+        let upper = fs.enable_overlay();
+        assert_eq!(fs.enable_overlay(), upper, "idempotent");
+        assert_eq!(fs.mkdir_p_overlay("/"), Ok(upper));
         // Miss in upper then hit in lower: both walks counted.
         let r = fs.resolve("/x/y").unwrap();
         assert!(r.components_walked >= 2);

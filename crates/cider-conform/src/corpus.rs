@@ -21,8 +21,8 @@
 //! ```
 //!
 //! Everything after `expect <config> ` is the exact
-//! [`Observation::to_line`] payload; replay re-executes and compares
-//! byte-for-byte.
+//! [`Observation::to_line`](crate::exec::Observation::to_line) payload;
+//! replay re-executes and compares byte-for-byte.
 
 use cider_fault::{FaultPlan, FaultSite};
 

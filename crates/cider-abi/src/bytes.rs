@@ -28,7 +28,8 @@
 //! assert_eq!(r.u8(), Err(Errno::ENOEXEC));
 //! ```
 
-/// Appends little-endian values to a byte buffer.
+/// Appends little-endian values to a byte buffer. Its methods are
+/// `#[inline]`: encoders in other crates call them once per field.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -36,11 +37,13 @@ pub struct ByteWriter {
 
 impl ByteWriter {
     /// An empty writer.
+    #[inline]
     pub fn new() -> ByteWriter {
         ByteWriter::default()
     }
 
     /// An empty writer with room for `n` bytes.
+    #[inline]
     pub fn with_capacity(n: usize) -> ByteWriter {
         ByteWriter {
             buf: Vec::with_capacity(n),
@@ -48,27 +51,32 @@ impl ByteWriter {
     }
 
     /// Finishes and returns the encoded bytes.
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// The bytes written so far.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
 
     /// Appends raw bytes with no length prefix (magics, fixed arrays).
+    #[inline]
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Appends a `u32` length prefix followed by the bytes.
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u32(bytes.len() as u32);
         self.put_raw(bytes);
     }
 
     /// Appends a length-prefixed UTF-8 string.
+    #[inline]
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
@@ -130,6 +138,7 @@ macro_rules! le_ints {
         impl ByteWriter {
             $(
                 #[doc = concat!("Appends a little-endian `", stringify!($t), "`.")]
+                #[inline]
                 pub fn $put(&mut self, v: $t) {
                     self.buf.extend_from_slice(&v.to_le_bytes());
                 }

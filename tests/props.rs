@@ -530,17 +530,14 @@ use cider_xnu::kern_return::KernReturn;
 
 /// Asserts that `decode` fails with exactly `want` on every strict
 /// prefix of `bytes`.
+#[track_caller]
 fn assert_prefixes_fail<T: std::fmt::Debug, E: std::fmt::Debug + PartialEq>(
-    what: &str,
     bytes: &[u8],
     want: E,
     decode: impl Fn(&[u8]) -> Result<T, E>,
 ) {
     for cut in 0..bytes.len() {
-        match decode(&bytes[..cut]) {
-            Err(e) => assert_eq!(e, want, "{what}: cut {cut}"),
-            Ok(v) => panic!("{what}: cut {cut} decoded to {v:?}"),
-        }
+        assert_eq!(decode(&bytes[..cut]).unwrap_err(), want, "cut {cut}");
     }
 }
 
@@ -552,10 +549,7 @@ proptest! {
         msg in user_message_strategy(),
         prog in prop::collection::vec(insn_strategy(), 1..16),
     ) {
-        let user = wire::encode_user_message(&msg);
-        assert_prefixes_fail("user msg", &user, Errno::EFAULT, |b| {
-            wire::decode_user_message(b)
-        });
+        use cider_core::wire::*;
         let received = ReceivedMessage {
             msg_id: msg.msg_id,
             body: msg.body.clone(),
@@ -563,42 +557,28 @@ proptest! {
             ports: msg.ports.iter().map(|p| p.name).collect(),
             ool: msg.ool.clone(),
         };
-        let bytes = wire::encode_received_message(&received);
-        assert_prefixes_fail("received msg", &bytes, Errno::EFAULT, |b| {
-            wire::decode_received_message(b)
+        let ops = [RingOp::Send(msg.clone()), RingOp::Recv(PortName(7))];
+        let cs = [Some(received.clone()), None].map(|received| {
+            RingCompletion { seq: u64::MAX, kr: KernReturn::Success, received }
         });
-        let ops = vec![RingOp::Send(msg.clone()), RingOp::Recv(PortName(7))];
-        let bytes = wire::encode_ring_ops(&ops);
-        assert_prefixes_fail("ring ops", &bytes, Errno::EFAULT, |b| {
-            wire::decode_ring_ops(b)
-        });
-        let cs = vec![
-            RingCompletion {
-                seq: u64::MAX,
-                kr: KernReturn::Success,
-                received: Some(received),
-            },
-            RingCompletion {
-                seq: 1,
-                kr: KernReturn::RcvTimedOut,
-                received: None,
-            },
-        ];
-        let bytes = wire::encode_ring_completions(&cs);
-        assert_prefixes_fail("ring completions", &bytes, Errno::EFAULT, |b| {
-            wire::decode_ring_completions(b)
-        });
-        let dex = assemble(&prog);
-        assert_prefixes_fail("dex", &dex, Errno::ENOEXEC, disassemble);
+        let user = encode_user_message(&msg);
+        assert_prefixes_fail(&user, Errno::EFAULT, decode_user_message);
+        let recv = encode_received_message(&received);
+        assert_prefixes_fail(&recv, Errno::EFAULT, decode_received_message);
+        let ops = encode_ring_ops(&ops);
+        assert_prefixes_fail(&ops, Errno::EFAULT, decode_ring_ops);
+        let cs = encode_ring_completions(&cs);
+        assert_prefixes_fail(&cs, Errno::EFAULT, decode_ring_completions);
+        assert_prefixes_fail(&assemble(&prog), Errno::ENOEXEC, disassemble);
     }
 }
 
 #[test]
 fn truncated_fixed_samples_keep_their_errors() {
+    use cider_apps::{build_ios_app, Ipa};
     use cider_ckpt::{Checkpoint, CkptError, CkptHeader, StateImage};
-    use cider_input::events::{
-        decode, decode_ios, encode, encode_ios, MotionAction, Pointer,
-    };
+    use cider_input::events::{decode, decode_ios, encode, encode_ios};
+    use cider_input::gestures::synth_pinch;
     use cider_input::{translate, AndroidEvent};
     use cider_loader::macho::LoadCommand;
     use cider_loader::{ElfBuilder, MachOBuilder};
@@ -608,83 +588,53 @@ fn truncated_fixed_samples_keep_their_errors() {
         .encrypted()
         .build();
     macho.commands.push(LoadCommand::Uuid { uuid: [7; 16] });
-    assert_prefixes_fail("mach-o", &macho.to_bytes(), Errno::ENOEXEC, |b| {
-        MachO::parse(b)
-    });
+    assert_prefixes_fail(&macho.to_bytes(), Errno::ENOEXEC, MachO::parse);
     let elf = ElfBuilder::executable("hello").needs("libc.so").build();
-    assert_prefixes_fail("elf", &elf.to_bytes(), Errno::ENOEXEC, |b| {
-        Elf::parse(b)
-    });
-    let ipa = cider_apps::build_ios_app("com.x.calc", "Calc", "m", true);
-    assert_prefixes_fail("ipa", &ipa.to_bytes(), Errno::EINVAL, |b| {
-        cider_apps::Ipa::parse(b)
-    });
+    assert_prefixes_fail(&elf.to_bytes(), Errno::ENOEXEC, Elf::parse);
+    let ipa = build_ios_app("com.x.calc", "Calc", "m", true).to_bytes();
+    assert_prefixes_fail(&ipa, Errno::EINVAL, Ipa::parse);
 
-    let events = [
-        AndroidEvent::Motion {
-            action: MotionAction::PointerDown,
-            pointers: vec![
-                Pointer {
-                    id: 0,
-                    x: 10,
-                    y: -20,
-                },
-                Pointer {
-                    id: 1,
-                    x: 300,
-                    y: 400,
-                },
-            ],
-            time_ns: 99,
-        },
-        AndroidEvent::Accelerometer {
-            x: -1,
-            y: 2,
-            z: 1000,
-            time_ns: 5,
-        },
-        AndroidEvent::Key {
-            code: 24,
-            down: true,
-            time_ns: 7,
-        },
-    ];
+    let mut events = synth_pinch((300, 400), 20, 90, 2, 0);
+    events.push(AndroidEvent::Accelerometer {
+        x: -1,
+        y: 2,
+        z: 1000,
+        time_ns: 5,
+    });
+    events.push(AndroidEvent::Key {
+        code: 24,
+        down: true,
+        time_ns: 7,
+    });
     for ev in &events {
         let frame = encode(ev);
         for cut in 0..frame.len() {
             assert_eq!(decode(&frame[..cut]), Ok(None), "frame cut {cut}");
         }
         let body = encode_ios(&translate(ev));
-        assert_prefixes_fail("hid body", &body, Errno::EINVAL, decode_ios);
+        assert_prefixes_fail(&body, Errno::EINVAL, decode_ios);
     }
 
     let mut image = StateImage::new();
     image.push_section("clock", vec![("now_ns".into(), "812".into())]);
     image.push_section("sched", Vec::new());
-    let ckpt = Checkpoint::new(
-        CkptHeader {
-            device_id: 3,
-            seed: 0xFEED,
-            config: "cider_ios".into(),
-            workload: "lmbench_mix".into(),
-            cursor: 17,
-            virtual_ns: 812,
-        },
-        image.clone(),
-    );
-    let frame = ckpt.to_bytes();
-    // The fixed frame floor: magic, version, device id, seed, two
-    // empty strings, cursor, virtual ns, empty image, checksum.
-    let floor = 56;
+    let header = CkptHeader {
+        device_id: 3,
+        seed: 0xFEED,
+        config: "cider_ios".into(),
+        workload: "lmbench_mix".into(),
+        cursor: 17,
+        virtual_ns: 812,
+    };
+    let frame = Checkpoint::new(header, image.clone()).to_bytes();
+    // Below the fixed frame floor (magic, version, device id, seed,
+    // two empty strings, cursor, virtual ns, empty image, checksum) a
+    // prefix is Truncated; above it the checksum no longer matches.
     for cut in 0..frame.len() {
-        let err = Checkpoint::from_bytes(&frame[..cut]).unwrap_err();
-        if cut < floor {
-            assert_eq!(err, CkptError::Truncated, "ckpt cut {cut}");
-        } else {
-            assert!(
-                matches!(err, CkptError::ChecksumMismatch { .. }),
-                "ckpt cut {cut}: {err:?}"
-            );
+        match Checkpoint::from_bytes(&frame[..cut]) {
+            Err(CkptError::Truncated) => assert!(cut < 56, "cut {cut}"),
+            Err(CkptError::ChecksumMismatch { .. }) => assert!(cut >= 56),
+            other => panic!("ckpt cut {cut}: {other:?}"),
         }
     }
     let bytes = image.to_bytes();

@@ -3,7 +3,8 @@
 //! `mach_msg` takes a message *buffer*; the trap-level interface
 //! therefore serialises [`UserMessage`]s into bytes (what user space
 //! hands the kernel) and [`ReceivedMessage`]s back (what the kernel
-//! writes into the caller's buffer).
+//! writes into the caller's buffer). A short buffer decodes to
+//! `EFAULT`, as any truncated user-space buffer does.
 
 use bytes::Bytes;
 use cider_abi::bytes::{ByteReader, ByteWriter};
@@ -27,22 +28,17 @@ fn disp_to_u8(d: PortDisposition) -> u8 {
     }
 }
 
-fn disp_from_u8(v: u8) -> Option<PortDisposition> {
-    Some(match v {
+/// Reads a disposition byte; an unknown one is `EINVAL`.
+fn disp(r: &mut ByteReader<'_, Errno>) -> Result<PortDisposition, Errno> {
+    Ok(match r.u8()? {
         16 => PortDisposition::MoveReceive,
         17 => PortDisposition::MoveSend,
         18 => PortDisposition::MoveSendOnce,
         19 => PortDisposition::CopySend,
         20 => PortDisposition::MakeSend,
         21 => PortDisposition::MakeSendOnce,
-        _ => return None,
+        _ => return Err(Errno::EINVAL),
     })
-}
-
-/// A trap buffer reader: truncation is `EFAULT`, as for any short
-/// user-space buffer.
-fn reader(bytes: &[u8]) -> ByteReader<'_, Errno> {
-    ByteReader::new(bytes, Errno::EFAULT)
 }
 
 /// Reads a length-prefixed blob; anything over 16 MiB is `EMSGSIZE`.
@@ -104,11 +100,7 @@ pub fn encode_user_message(m: &UserMessage) -> Vec<u8> {
 /// `EFAULT` on truncation, `EINVAL` on bad dispositions, `EMSGSIZE` on
 /// absurd lengths.
 pub fn decode_user_message(bytes: &[u8]) -> Result<UserMessage, Errno> {
-    let mut r = reader(bytes);
-    let r = &mut r;
-    let disp = |r: &mut ByteReader<'_, Errno>| {
-        disp_from_u8(r.u8()?).ok_or(Errno::EINVAL)
-    };
+    let r = &mut ByteReader::new(bytes, Errno::EFAULT);
     let remote_port = PortName(r.u32()?);
     let remote_disposition = disp(r)?;
     let local_port = PortName(r.u32()?);
@@ -156,8 +148,7 @@ pub fn encode_received_message(m: &ReceivedMessage) -> Vec<u8> {
 pub fn decode_received_message(
     bytes: &[u8],
 ) -> Result<ReceivedMessage, Errno> {
-    let mut r = reader(bytes);
-    let r = &mut r;
+    let r = &mut ByteReader::new(bytes, Errno::EFAULT);
     let msg_id = r.i32()?;
     let reply_port = PortName(r.u32()?);
     let body = Bytes::copy_from_slice(blob(r)?);
@@ -202,7 +193,7 @@ pub fn encode_ring_ops(ops: &[RingOp]) -> Vec<u8> {
 /// `EFAULT` on truncation, `EINVAL` on unknown tags, `EMSGSIZE` on
 /// absurd batch sizes.
 pub fn decode_ring_ops(bytes: &[u8]) -> Result<Vec<RingOp>, Errno> {
-    let mut r = reader(bytes);
+    let r = &mut ByteReader::new(bytes, Errno::EFAULT);
     let n = r.u32()?;
     if n as usize > 4 * crate::ring::RING_CAPACITY {
         return Err(Errno::EMSGSIZE);
@@ -210,7 +201,7 @@ pub fn decode_ring_ops(bytes: &[u8]) -> Result<Vec<RingOp>, Errno> {
     let mut ops = Vec::with_capacity(n as usize);
     for _ in 0..n {
         match r.u8()? {
-            1 => ops.push(RingOp::Send(decode_user_message(blob(&mut r)?)?)),
+            1 => ops.push(RingOp::Send(decode_user_message(blob(r)?)?)),
             2 => ops.push(RingOp::Recv(PortName(r.u32()?))),
             _ => return Err(Errno::EINVAL),
         }
@@ -246,7 +237,7 @@ pub fn encode_ring_completions(cs: &[RingCompletion]) -> Vec<u8> {
 pub fn decode_ring_completions(
     bytes: &[u8],
 ) -> Result<Vec<RingCompletion>, Errno> {
-    let mut r = reader(bytes);
+    let r = &mut ByteReader::new(bytes, Errno::EFAULT);
     let n = r.u32()?;
     if n > 4096 {
         return Err(Errno::EMSGSIZE);
@@ -257,7 +248,7 @@ pub fn decode_ring_completions(
         let kr = KernReturn::from_raw(r.i32()? as i64).ok_or(Errno::EINVAL)?;
         let received = match r.u8()? {
             0 => None,
-            1 => Some(decode_received_message(blob(&mut r)?)?),
+            1 => Some(decode_received_message(blob(r)?)?),
             _ => return Err(Errno::EINVAL),
         };
         out.push(RingCompletion { seq, kr, received });

@@ -9,19 +9,20 @@
 use cider_abi::bytes::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 
-/// Android motion-event actions.
+/// Android motion-event actions. The discriminant is the bridge wire
+/// code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MotionAction {
     /// First finger down.
-    Down,
+    Down = 0,
     /// Any pointer moved.
-    Move,
+    Move = 1,
     /// Last finger up.
-    Up,
+    Up = 2,
     /// An additional finger down.
-    PointerDown,
+    PointerDown = 3,
     /// A non-last finger up.
-    PointerUp,
+    PointerUp = 4,
 }
 
 /// One touch point.
@@ -69,15 +70,16 @@ pub enum AndroidEvent {
     },
 }
 
-/// IOHID-style event phases iOS gesture recognisers consume.
+/// IOHID-style event phases iOS gesture recognisers consume. The
+/// discriminant is the HID body wire code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TouchPhase {
     /// Touch began.
-    Began,
+    Began = 0,
     /// Touch moved.
-    Moved,
+    Moved = 1,
     /// Touch ended.
-    Ended,
+    Ended = 2,
 }
 
 /// An event in the format iOS apps expect on their event port.
@@ -194,13 +196,7 @@ pub fn encode(e: &AndroidEvent) -> Vec<u8> {
             time_ns,
         } => {
             w.put_u8(1);
-            w.put_u8(match action {
-                MotionAction::Down => 0,
-                MotionAction::Move => 1,
-                MotionAction::Up => 2,
-                MotionAction::PointerDown => 3,
-                MotionAction::PointerUp => 4,
-            });
+            w.put_u8(*action as u8);
             w.put_u64(*time_ns);
             put_pointers(&mut w, pointers);
         }
@@ -289,11 +285,7 @@ pub fn encode_ios(e: &IosHidEvent) -> Vec<u8> {
             timestamp,
         } => {
             w.put_u8(1);
-            w.put_u8(match phase {
-                TouchPhase::Began => 0,
-                TouchPhase::Moved => 1,
-                TouchPhase::Ended => 2,
-            });
+            w.put_u8(*phase as u8);
             w.put_u64(*timestamp);
             put_pointers(&mut w, touches);
         }
